@@ -1,5 +1,5 @@
-"""CTC loss via the log-space forward recursion, greedy decoding, and a
-brute-force alignment-enumeration oracle for testing.
+"""CTC loss via the log-space forward-backward recursions, greedy decoding,
+and a brute-force alignment-enumeration oracle for testing.
 
 Blank is token id 0 everywhere.
 """
@@ -11,9 +11,8 @@ import math
 
 import numpy as np
 
-from . import tensor as tn
 from .errors import FeasibilityError, NumericError, OracleSizeError
-from .tensor import Tensor
+from .tensor import Tensor, _accum, _register
 
 BLANK = 0
 
@@ -42,55 +41,60 @@ def ctc_loss(log_probs, labels):
     """Negative log-likelihood of ``labels`` under per-frame log-probs.
 
     ``log_probs`` is a Tensor [T x (V+1)] of log-softmax rows with blank at
-    index 0; gradients flow back through the recursion.
+    index 0. The loss is one graph node: the forward pass runs the alpha
+    recursion, and the backward pass runs the beta recursion and returns
+    minus the state occupancy as the gradient (Graves et al. 2006).
     """
     labels = list(labels)
-    t_len = log_probs.shape[0]
-    check_feasible(t_len, labels)
+    check_feasible(log_probs.shape[0], labels)
     _check_log_probs(log_probs)
 
-    ext = [BLANK]
-    for tok in labels:
-        ext.extend((tok, BLANK))
-    L = len(ext)
-    ext_arr = np.asarray(ext, dtype=np.int64)
+    # Extended labels: blank, l1, blank, l2, ..., blank. The skip transition
+    # s-2 -> s is disallowed into a blank or when the skipped label repeats.
+    ext = np.full(2 * len(labels) + 1, BLANK, dtype=np.int64)
+    ext[1::2] = labels
+    skip = np.full(len(ext), NEG_INF)
+    skip[2:][(ext[2:] != BLANK) & (ext[2:] != ext[:-2])] = 0.0
+    emit = log_probs.data[:, ext]  # [T x L]
+    alpha = _alpha(emit, skip)
+    log_likelihood = np.logaddexp.reduce(alpha[-1, -2:])
+    out = Tensor(-log_likelihood, (log_probs,))
 
-    # Mask for the skip transition alpha[i-2] -> alpha[i]: disallowed into a
-    # blank or when the skipped-over label repeats.
-    skip_ok = np.full(L, NEG_INF)
-    for i in range(2, L):
-        if ext[i] != BLANK and ext[i] != ext[i - 2]:
-            skip_ok[i] = 0.0
-    skip_mask = Tensor(skip_ok)
+    def backward(g):
+        occupancy = np.exp(alpha + _beta(emit, skip) - log_likelihood)
+        grad = np.zeros_like(log_probs.data)
+        np.add.at(grad, (slice(None), ext), -g * occupancy)
+        _accum(log_probs, grad)
 
-    def emit(t):
-        return tn.take_entries(log_probs, np.full(L, t, dtype=np.int64), ext_arr)
+    _register(out, backward)
+    return out
 
-    init = np.full(L, NEG_INF)
-    init[0] = 0.0
-    if L > 1:
-        init[1] = 0.0
-    alpha = tn.add(emit(0), Tensor(init))
 
-    def shift(v, k):
-        pad = Tensor(np.full(k, NEG_INF))
-        return tn.concat_rows([pad, tn.slice_rows(v, 0, L - k)]) if L > k else pad
+def _alpha(emit, skip):
+    """alpha[t, s]: log-prob of every path prefix ending in state s at frame t."""
+    alpha = np.full(emit.shape, NEG_INF)
+    alpha[0, :2] = emit[0, :2]
+    for t in range(1, len(emit)):
+        prev = alpha[t - 1]
+        acc = prev.copy()
+        acc[1:] = np.logaddexp(prev[1:], prev[:-1])
+        acc[2:] = np.logaddexp(acc[2:], prev[:-2] + skip[2:])
+        alpha[t] = acc + emit[t]
+    return alpha
 
-    for t in range(1, t_len):
-        stay = alpha
-        step = shift(alpha, 1)
-        acc = tn.logaddexp(stay, step)
-        if L > 2:
-            skip = tn.add(shift(alpha, 2), skip_mask)
-            acc = tn.logaddexp(acc, skip)
-        alpha = tn.add(acc, emit(t))
 
-    tail = tn.slice_rows(alpha, L - 1, L)
-    if L > 1:
-        total = tn.logaddexp(tail, tn.slice_rows(alpha, L - 2, L - 1))
-    else:
-        total = tail
-    return tn.scale(tn.sum_all(total), -1.0)
+def _beta(emit, skip):
+    """beta[t, s]: log-prob of every path suffix after state s at frame t,
+    excluding frame t's own emission."""
+    beta = np.full(emit.shape, NEG_INF)
+    beta[-1, -2:] = 0.0
+    for t in range(len(emit) - 2, -1, -1):
+        nxt = beta[t + 1] + emit[t + 1]
+        acc = nxt.copy()
+        acc[:-1] = np.logaddexp(nxt[:-1], nxt[1:])
+        acc[:-2] = np.logaddexp(acc[:-2], nxt[2:] + skip[2:])
+        beta[t] = acc
+    return beta
 
 
 def collapse(path):

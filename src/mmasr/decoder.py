@@ -21,11 +21,11 @@ from .layers import (
     embed,
     feed_forward,
     init_attention_params,
-    layer_norm,
 )
 from .encoder import (
     FeedForwardParams,
     LayerNormParams,
+    _ln,
     init_feed_forward,
     init_layer_norm,
 )
@@ -134,10 +134,6 @@ def dual_cross_attention(q, t_feats, i_feats, params):
     return tn.add(head_t, head_i)
 
 
-def _ln(x, p):
-    return layer_norm(x, p.gamma, p.beta)
-
-
 def decoder_forward(targets_in, t_feats, i_feats, cfg, params):
     """Logits over the decoder vocabulary for each target position.
 
@@ -190,8 +186,7 @@ def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
             candidates = []
             for toks, lp in live:
                 logits = decoder_forward((bos,) + toks, t_feats, i_feats, cfg, params)
-                logp = tn.log_softmax_rows(tn.slice_rows(logits, len(toks), len(toks) + 1))
-                row = logp.data[0]
+                row = tn.log_softmax_rows(logits).data[len(toks)]
                 for v in range(cfg.vocab_size):
                     if v == bos:
                         continue

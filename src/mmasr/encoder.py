@@ -33,8 +33,6 @@ class EncoderConfig:
     d_ff: int = 256
     conv_width: int = 7
     subsample_factor: int = 2
-    # Reserved hook for an intermediate-layer CTC tap; not implemented.
-    intermediate_ctc_block: int | None = None
 
     def __post_init__(self):
         if self.n_blocks < 0:
@@ -43,8 +41,6 @@ class EncoderConfig:
             raise ConfigError(f"subsample_factor must be 1, 2 or 4, got {self.subsample_factor}")
         if self.conv_width % 2 == 0:
             raise ConfigError(f"conv_width must be odd, got {self.conv_width}")
-        if self.intermediate_ctc_block is not None:
-            raise ConfigError("intermediate-layer CTC is not implemented")
 
 
 @dataclass

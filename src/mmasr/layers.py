@@ -86,21 +86,20 @@ def attention(q, k, v, params, mask=None):
             raise ContractError("mask leaves a query row with no visible keys")
         penalty = Tensor(np.where(mask.allowed, 0.0, MASK_PENALTY))
 
-    qp = tn.matmul(q, params.w_q)
-    kp = tn.matmul(k, params.w_k)
-    vp = tn.matmul(v, params.w_v)
-    d_k = params.d_k
-    inv = 1.0 / math.sqrt(d_k)
-    heads = []
-    for h in range(params.n_heads):
-        lo, hi = h * d_k, (h + 1) * d_k
-        scores = tn.scale(tn.matmul(tn.slice_cols(qp, lo, hi),
-                                    tn.transpose(tn.slice_cols(kp, lo, hi))), inv)
-        if penalty is not None:
-            scores = tn.add(scores, penalty)
-        weights = tn.softmax_rows(scores)
-        heads.append(tn.matmul(weights, tn.slice_cols(vp, lo, hi)))
-    merged = heads[0] if len(heads) == 1 else tn.concat_cols(heads)
+    h, d_k = params.n_heads, params.d_k
+
+    def split_heads(x, w, axes):
+        # [L x d_model] -> [L x h x d_k], then permuted to put the head axis first
+        return tn.transpose(tn.reshape(tn.matmul(x, w), (x.shape[0], h, d_k)), axes)
+
+    qh = split_heads(q, params.w_q, (1, 0, 2))  # [h x L_q x d_k]
+    kh = split_heads(k, params.w_k, (1, 2, 0))  # [h x d_k x L_k]
+    vh = split_heads(v, params.w_v, (1, 0, 2))  # [h x L_k x d_k]
+    scores = tn.scale(tn.matmul(qh, kh), 1.0 / math.sqrt(d_k))
+    if penalty is not None:
+        scores = tn.add(scores, penalty)
+    heads = tn.matmul(tn.softmax_rows(scores), vh)  # [h x L_q x d_k]
+    merged = tn.reshape(tn.transpose(heads, (1, 0, 2)), (q.shape[0], d_model))
     return tn.matmul(merged, params.w_o)
 
 
@@ -109,14 +108,7 @@ def layer_norm(x, gamma, beta, eps=LAYER_NORM_EPS):
     d = x.shape[1]
     if gamma.shape != (d,) and gamma.shape != (1, d):
         raise ShapeError(f"gamma shape {gamma.shape} does not match d={d}")
-    mu = tn.scale(tn.sum_rows(x), 1.0 / d)
-    centered = tn.sub(x, mu)
-    var = tn.scale(tn.sum_rows(tn.mul(centered, centered)), 1.0 / d)
-    inv_std = tn.power(tn.add_scalar(var, eps), -0.5)
-    normed = tn.mul(centered, inv_std)
-    g = gamma if len(gamma.shape) == 2 else tn.reshape(gamma, (1, d))
-    b = beta if len(beta.shape) == 2 else tn.reshape(beta, (1, d))
-    return tn.add(tn.mul(normed, g), b)
+    return tn.add(tn.mul(tn.normalize_rows(x, eps), gamma), beta)
 
 
 def feed_forward(x, w1, w2, act=tn.relu):
@@ -129,26 +121,9 @@ def depthwise_conv(x, kernel):
     width = kernel.shape[0]
     if width % 2 == 0:
         raise ConfigError(f"conv width must be odd, got {width}")
-    L, d = x.shape
-    if kernel.shape[1] != d:
-        raise ShapeError(f"kernel channels {kernel.shape[1]} != d {d}")
-    half = width // 2
-    out = None
-    for j in range(width):
-        off = j - half
-        if off == 0:
-            shifted = x
-        elif off < 0:
-            pad = tn.zeros((min(-off, L), d))
-            body = tn.slice_rows(x, 0, max(L + off, 0))
-            shifted = tn.concat_rows([pad, body])
-        else:
-            pad = tn.zeros((min(off, L), d))
-            body = tn.slice_rows(x, min(off, L), L)
-            shifted = tn.concat_rows([body, pad])
-        term = tn.mul(shifted, tn.slice_rows(kernel, j, j + 1))
-        out = term if out is None else tn.add(out, term)
-    return out
+    if kernel.shape[1] != x.shape[1]:
+        raise ShapeError(f"kernel channels {kernel.shape[1]} != d {x.shape[1]}")
+    return tn.shift_sum(x, kernel)
 
 
 def conv_module(x, kernel, w_in=None, w_out=None, act=None):

@@ -77,9 +77,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -149,10 +146,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    return add(a, scale(as_tensor(b), -1.0))
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data, (a, b))
@@ -177,53 +170,35 @@ def scale(a, c):
     return out
 
 
-def add_scalar(a, c):
-    a = as_tensor(a)
-    c = float(c)
-    out = Tensor(a.data + c, (a,))
-
-    def backward(g):
-        _accum(a, g)
-
-    _register(out, backward)
-    return out
-
-
 def matmul(a, b):
+    """Matrix product over the last two axes; leading axes broadcast as in np.matmul."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    try:
+        if a.data.ndim < 2 or b.data.ndim < 2:
+            raise ValueError("matmul operands need at least two axes")
+        y = a.data @ b.data
+    except ValueError:
         raise ShapeError(
             f"matmul shapes do not conform: {a.data.shape} x {b.data.shape}"
-        )
-    out = Tensor(a.data @ b.data, (a, b))
+        ) from None
+    out = Tensor(y, (a, b))
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     _register(out, backward)
     return out
 
 
-def transpose(a):
+def transpose(a, axes=None):
+    """Axis permutation as np.transpose; ``axes=None`` reverses the axes."""
     a = as_tensor(a)
-    out = Tensor(a.data.T, (a,))
+    out = Tensor(np.transpose(a.data, axes), (a,))
+    inverse = None if axes is None else np.argsort(axes)
 
     def backward(g):
-        _accum(a, g.T)
-
-    _register(out, backward)
-    return out
-
-
-def power(a, p):
-    """Elementwise a**p for real p; caller guarantees a positive base when needed."""
-    a = as_tensor(a)
-    p = float(p)
-    out = Tensor(a.data**p, (a,))
-
-    def backward(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
+        _accum(a, np.transpose(g, inverse))
 
     _register(out, backward)
     return out
@@ -235,18 +210,6 @@ def sum_all(a):
 
     def backward(g):
         _accum(a, np.full_like(a.data, float(g)))
-
-    _register(out, backward)
-    return out
-
-
-def sum_rows(a):
-    """Row sums with keepdims: (m, n) -> (m, 1)."""
-    a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=1, keepdims=True), (a,))
-
-    def backward(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
     _register(out, backward)
     return out
@@ -306,75 +269,49 @@ def log_softmax_rows(x):
     return out
 
 
-def logaddexp(a, b):
-    """Elementwise log(exp(a) + exp(b)); tolerates -inf operands."""
-    a, b = as_tensor(a), as_tensor(b)
-    y = np.logaddexp(a.data, b.data)
-    out = Tensor(y, (a, b))
+def normalize_rows(x, eps):
+    """(x - mean) / sqrt(var + eps) over the last axis, as one node.
+
+    Backward is the closed form of layer normalization (Ba et al. 2016):
+    dx = (g - mean(g) - y * mean(g * y)) / sqrt(var + eps).
+    """
+    x = as_tensor(x)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    y = centered * inv_std
+    out = Tensor(y, (x,))
 
     def backward(g):
-        # Where y == -inf both inputs were -inf; their weight is zero.
-        with np.errstate(invalid="ignore"):
-            wa = np.where(np.isneginf(y), 0.0, np.exp(a.data - y))
-            wb = np.where(np.isneginf(y), 0.0, np.exp(b.data - y))
-        _accum(a, _unbroadcast(g * wa, a.data.shape))
-        _accum(b, _unbroadcast(g * wb, b.data.shape))
+        _accum(x, inv_std * (g - g.mean(axis=-1, keepdims=True)
+                             - y * (g * y).mean(axis=-1, keepdims=True)))
 
     _register(out, backward)
     return out
 
 
-def concat_rows(parts):
-    parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0), tuple(parts))
-    sizes = [p.data.shape[0] for p in parts]
+def shift_sum(x, kernel):
+    """Zero-padded depthwise convolution as one node.
+
+    ``x`` is [L x d] and ``kernel`` [width x d] with odd width; output row t
+    is sum_j x[t + j - width // 2] * kernel[j], rows outside x being zero.
+    """
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    width, L = kernel.data.shape[0], x.data.shape[0]
+    half = width // 2
+    padded = np.pad(x.data, ((half, half), (0, 0)))
+    y = np.zeros_like(x.data)
+    for j in range(width):
+        y += padded[j : j + L] * kernel.data[j]
+    out = Tensor(y, (x, kernel))
 
     def backward(g):
-        offset = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, g[offset : offset + n])
-            offset += n
-
-    _register(out, backward)
-    return out
-
-
-def concat_cols(parts):
-    parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts))
-    sizes = [p.data.shape[1] for p in parts]
-
-    def backward(g):
-        offset = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, g[:, offset : offset + n])
-            offset += n
-
-    _register(out, backward)
-    return out
-
-
-def slice_rows(a, start, stop):
-    a = as_tensor(a)
-    out = Tensor(a.data[start:stop], (a,))
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        _accum(a, full)
-
-    _register(out, backward)
-    return out
-
-
-def slice_cols(a, start, stop):
-    a = as_tensor(a)
-    out = Tensor(a.data[:, start:stop], (a,))
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        _accum(a, full)
+        g_padded = np.zeros_like(padded)
+        g_kernel = np.empty_like(kernel.data)
+        for j in range(width):
+            g_padded[j : j + L] += g * kernel.data[j]
+            g_kernel[j] = (g * padded[j : j + L]).sum(axis=0)
+        _accum(x, g_padded[half : half + L])
+        _accum(kernel, g_kernel)
 
     _register(out, backward)
     return out
@@ -425,22 +362,16 @@ def reshape(a, shape):
 def mean_pool_rows(a, factor):
     """Strided mean pooling over rows; output length ceil(m / factor)."""
     a = as_tensor(a)
-    m = a.data.shape[0]
+    m, rest = a.data.shape[0], a.data.shape[1:]
     n_out = -(-m // factor)
-    pooled = np.empty((n_out,) + a.data.shape[1:], dtype=np.float64)
-    counts = np.empty(n_out, dtype=np.int64)
-    for i in range(n_out):
-        lo, hi = i * factor, min((i + 1) * factor, m)
-        pooled[i] = a.data[lo:hi].mean(axis=0)
-        counts[i] = hi - lo
-    out = Tensor(pooled, (a,))
+    counts = np.full((n_out,) + (1,) * len(rest), float(factor))
+    counts[-1] = m - (n_out - 1) * factor
+    padded = np.zeros((n_out * factor,) + rest)
+    padded[:m] = a.data
+    out = Tensor(padded.reshape((n_out, factor) + rest).sum(axis=1) / counts, (a,))
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        for i in range(n_out):
-            lo, hi = i * factor, min((i + 1) * factor, m)
-            full[lo:hi] = g[i] / counts[i]
-        _accum(a, full)
+        _accum(a, np.repeat(g / counts, factor, axis=0)[:m])
 
     _register(out, backward)
     return out

@@ -21,6 +21,7 @@ from . import tensor as tn
 from .decoder import beam_decode, decoder_forward
 from .encoder import ctc_head, encode_audio
 from .errors import (
+    CheckpointError,
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -212,12 +213,17 @@ def _sum(tensors):
 
 
 def decode_utterance(model, utt, use_visual, beam=4, max_len=None):
+    """Beam-decode one utterance; the reference is never read.
+
+    By default a hypothesis ends after ``t_len + 1`` steps: CTC
+    feasibility bounds a transcript by the encoder length, plus one EOS.
+    """
     dec_cfg = model.cfg.decoder
-    if max_len is None:
-        max_len = len(utt.ref) + 8
     with tn.no_grad():
         feats = encode_audio(np.asarray(utt.audio, dtype=np.float64),
                              model.cfg.encoder, model.encoder)
+        if max_len is None:
+            max_len = feats.t_len + 1
         if use_visual and utt.ocr:
             vis = encode_visual(utt.ocr, model.visual, frozen=True)
         else:
@@ -259,9 +265,11 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
                 flags = [d >= cfg.p_visual_dropout for d in draws]
             batch = [train_utts[int(i)] for i in idx]
             report = train_step(model, batch, cfg, opt, use_visual_flags=flags)
-            record = {"step": step, "loss_total": report["loss_total"],
-                      "loss_ctc": report["loss_ctc"],
-                      "loss_att": report["loss_att"], "lr": report["lr"]}
+            # A step whose utterances were all skipped has no loss: null, as
+            # strict JSON has no NaN.
+            record = {"step": step, "lr": report["lr"]}
+            for key in ("loss_total", "loss_ctc", "loss_att"):
+                record[key] = report[key] if math.isfinite(report[key]) else None
             history.append(record)
             if log_f:
                 log_f.write(json.dumps(record, sort_keys=True) + "\n")
@@ -361,8 +369,38 @@ def _read_block(f, name, shape):
     return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
 
 
+def _parse_header(header):
+    """(model config, [(name, shape)] in payload order, Adam arguments or
+    None, step) of a checkpoint header. A missing or mistyped field raises
+    KeyError, TypeError or ValueError."""
+    model_json = dict(header["model_config"])
+    encoder = dict(model_json["encoder"])
+    # Files written while the encoder config still had this reserved hook
+    # store it as null; no other value was ever valid.
+    if encoder.pop("intermediate_ctc_block", None) is not None:
+        raise CheckpointError("intermediate-layer CTC is not supported")
+    model_cfg = ModelConfig.from_json({**model_json, "encoder": encoder})
+    if not isinstance(header["params"], list):
+        raise TypeError(f"params is a {type(header['params']).__name__}, not a list")
+    entries = [(str(e["name"]), tuple(e["shape"])) for e in header["params"]]
+    adam = None
+    o = header.get("optimizer")
+    if o is not None:
+        trainable = [str(n) for n in o["trainable"]]
+        unknown = set(trainable) - {name for name, _ in entries}
+        if unknown:
+            raise CheckpointShapeError(
+                f"optimizer state for unknown parameters {sorted(unknown)[:3]}")
+        adam = dict(trainable=trainable, peak_lr=o["peak_lr"], warmup=o["warmup"],
+                    beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"], t=o["t"])
+    return model_cfg, entries, adam, header["step"]
+
+
 def load_checkpoint(path):
-    """Returns (model, optimizer or None, step, rng_state or None)."""
+    """Returns (model, optimizer or None, step, rng_state or None).
+
+    A file that is not exactly a checkpoint of this format raises a
+    CheckpointError."""
     with open(path, "rb") as f:
         magic = f.read(len(CKPT_MAGIC))
         if magic != CKPT_MAGIC:
@@ -378,15 +416,19 @@ def load_checkpoint(path):
             header = json.loads(head.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointVersionError(f"unreadable checkpoint header: {e}") from e
+        if not isinstance(header, dict):
+            raise CheckpointError("checkpoint header is not a JSON object")
         if header.get("version") != CKPT_VERSION:
             raise CheckpointVersionError(
                 f"unsupported checkpoint version {header.get('version')}"
             )
-        model_cfg = ModelConfig.from_json(header["model_config"])
+        try:
+            model_cfg, entries, adam, step = _parse_header(header)
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"malformed checkpoint header: {e!r}") from e
         model = Model.init(model_cfg, seed=0)
         params = model.named_parameters()
-        for entry in header["params"]:
-            name, shape = entry["name"], tuple(entry["shape"])
+        for name, shape in entries:
             if name not in params:
                 raise CheckpointShapeError(f"unknown parameter '{name}' in checkpoint")
             if tuple(params[name].shape) != shape:
@@ -395,19 +437,18 @@ def load_checkpoint(path):
                     f"{tuple(params[name].shape)} in config"
                 )
             params[name].data = _read_block(f, name, shape)
-        missing = {e["name"] for e in header["params"]} ^ set(params)
+        missing = {name for name, _ in entries} ^ set(params)
         if missing:
             raise CheckpointShapeError(
                 f"checkpoint parameter list mismatch: {sorted(missing)[:3]}"
             )
         opt = None
-        if header.get("optimizer") is not None:
-            o = header["optimizer"]
-            opt = Adam(params, o["trainable"], o["peak_lr"], o["warmup"],
-                       o["beta1"], o["beta2"], o["eps"], t=o["t"])
-            shapes = {e["name"]: tuple(e["shape"]) for e in header["params"]}
+        if adam is not None:
+            opt = Adam(params, **adam)
             for n in opt.trainable:
-                opt.m[n] = _read_block(f, f"m:{n}", shapes[n])
+                opt.m[n] = _read_block(f, f"m:{n}", params[n].shape)
             for n in opt.trainable:
-                opt.v[n] = _read_block(f, f"v:{n}", shapes[n])
-        return model, opt, header["step"], header.get("rng_state")
+                opt.v[n] = _read_block(f, f"v:{n}", params[n].shape)
+        if f.read(1):
+            raise CheckpointError("checkpoint has bytes after its payload")
+        return model, opt, step, header.get("rng_state")

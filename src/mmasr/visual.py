@@ -16,12 +16,13 @@ from .layers import (
     AttentionParams,
     attention,
     embed,
+    feed_forward,
     init_attention_params,
-    layer_norm,
 )
 from .encoder import (
     FeedForwardParams,
     LayerNormParams,
+    _ln,
     init_feed_forward,
     init_layer_norm,
 )
@@ -75,8 +76,7 @@ def encode_visual(ocr_tokens, params, frozen=False):
 
 def _forward(ocr_tokens, params):
     x = embed(ocr_tokens, params.embed)
-    h = layer_norm(x, params.ln_attn.gamma, params.ln_attn.beta)
+    h = _ln(x, params.ln_attn)
     x = tn.add(x, attention(h, h, h, params.attn))
-    h = layer_norm(x, params.ln_ffn.gamma, params.ln_ffn.beta)
-    x = tn.add(x, tn.matmul(tn.relu(tn.matmul(h, params.ffn.w1)), params.ffn.w2))
+    x = tn.add(x, feed_forward(_ln(x, params.ln_ffn), params.ffn.w1, params.ffn.w2))
     return VisualFeatures(frames=x, i_len=len(ocr_tokens))

@@ -165,8 +165,7 @@ def _greedy_rollout(t_feats, i_feats, cfg, params, max_len):
     with tn.no_grad():
         for _ in range(max_len):
             logits = decoder_forward([cfg.bos_id] + toks, t_feats, i_feats, cfg, params)
-            row = tn.log_softmax_rows(
-                tn.slice_rows(logits, len(toks), len(toks) + 1)).data[0]
+            row = tn.log_softmax_rows(logits).data[len(toks)]
             best = min((v for v in range(cfg.vocab_size) if v != cfg.bos_id),
                        key=lambda v: (-row[v], v))
             if best == cfg.eos_id:

@@ -59,8 +59,8 @@ def test_config_validation():
         EncoderConfig(subsample_factor=3)
     with pytest.raises(ConfigError):
         EncoderConfig(conv_width=4)
-    with pytest.raises(ConfigError):
-        EncoderConfig(intermediate_ctc_block=2)
+    with pytest.raises(TypeError):  # the reserved intermediate-CTC hook is gone
+        EncoderConfig(intermediate_ctc_block=None)
 
 
 def test_full_stack_gradient_to_input():

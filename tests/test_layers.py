@@ -70,6 +70,46 @@ def test_attention_single_head_identity_oracle():
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+def np_attention(q, k, v, p, allowed=None):
+    """Plain-numpy oracle: one head at a time over column slices."""
+    d_k = p.d_k
+    qp, kp, vp = q @ p.w_q.data, k @ p.w_k.data, v @ p.w_v.data
+    heads = []
+    for h in range(p.n_heads):
+        cols = slice(h * d_k, (h + 1) * d_k)
+        scores = qp[:, cols] @ kp[:, cols].T / np.sqrt(d_k)
+        if allowed is not None:
+            scores = scores + np.where(allowed, 0.0, -1e9)
+        heads.append(np_softmax(scores) @ vp[:, cols])
+    return np.concatenate(heads, axis=1) @ p.w_o.data
+
+
+def test_attention_multi_head_oracle():
+    d = 8
+    for heads in (2, 4):
+        p = _params(d, heads)
+        q = RNG.standard_normal((3, d))
+        kv = RNG.standard_normal((5, d))
+        got = attention(Tensor(q), Tensor(kv), Tensor(kv), p).data
+        assert np.max(np.abs(got - np_attention(q, kv, kv, p))) < 1e-12
+        mask = Mask.causal(5)
+        got = attention(Tensor(kv), Tensor(kv), Tensor(kv), p, mask=mask).data
+        expected = np_attention(kv, kv, kv, p, mask.allowed)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def _graph_nodes(out):
+    return sum(1 for node in tn._topo_order(out) if node._backward is not None)
+
+
+def test_attention_node_count_does_not_depend_on_heads():
+    d = 8
+    x = Tensor(RNG.standard_normal((4, d)))
+    counts = {_graph_nodes(attention(x, x, x, _params(d, heads), mask=Mask.causal(4)))
+              for heads in (1, 2, 4)}
+    assert len(counts) == 1
+
+
 def test_attention_output_in_value_convex_hull():
     d = 4
     p = _identity_params(d)

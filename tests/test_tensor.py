@@ -117,7 +117,7 @@ def test_grad_check_elementwise_square():
 
 def test_grad_check_softmax_column():
     x = RNG.standard_normal((2, 4))
-    f = lambda t: tn.sum_all(tn.slice_cols(tn.softmax_rows(t), 0, 1))
+    f = lambda t: tn.sum_all(tn.take_entries(tn.softmax_rows(t), [0, 1], [0, 0]))
     assert tn.grad_check(f, x) < 1e-6
 
 
@@ -146,32 +146,6 @@ def test_broadcast_add_gradients():
     assert np.array_equal(b.grad, np.full((1, 4), 3.0))
 
 
-def test_logaddexp_handles_neg_inf():
-    a = Tensor(np.array([-np.inf, 0.0]))
-    b = Tensor(np.array([-np.inf, -np.inf]))
-    y = tn.logaddexp(a, b)
-    assert np.isneginf(y.data[0])
-    assert y.data[1] == 0.0
-    tn.sum_all(y).backward()
-    assert np.all(np.isfinite(a.grad))
-    assert np.all(np.isfinite(b.grad))
-
-
-def test_logaddexp_grad_check():
-    a = RNG.standard_normal(5)
-    b = Tensor(RNG.standard_normal(5))
-    f = lambda t: tn.sum_all(tn.logaddexp(t, b))
-    assert tn.grad_check(f, a) < 1e-6
-
-
-def test_concat_slice_grads():
-    x = RNG.standard_normal((4, 3))
-    f = lambda t: tn.sum_all(tn.mul(tn.slice_rows(t, 1, 3), tn.slice_rows(t, 1, 3)))
-    assert tn.grad_check(f, x) < 1e-6
-    g = lambda t: tn.sum_all(tn.mul(tn.concat_rows([t, t]), tn.concat_rows([t, t])))
-    assert tn.grad_check(g, x) < 1e-6
-
-
 def test_gather_rows_accumulates_duplicates():
     table = Tensor(RNG.standard_normal((3, 2)))
     out = tn.gather_rows(table, [1, 1, 0])
@@ -196,6 +170,8 @@ def test_mean_pool_rows_ragged_tail():
     assert np.array_equal(pooled, expected)
     f = lambda t: tn.sum_all(tn.mul(tn.mean_pool_rows(t, 2), tn.mean_pool_rows(t, 2)))
     assert tn.grad_check(f, x) < 1e-6
+    pooled = tn.mean_pool_rows(Tensor(x), 4).data
+    assert np.array_equal(pooled, np.array([x[0:4].mean(axis=0), x[4:5].mean(axis=0)]))
 
 
 def test_no_grad_records_no_graph():
@@ -205,8 +181,53 @@ def test_no_grad_records_no_graph():
     assert y._backward is None
 
 
-def test_silu_and_power_grads():
+def test_silu_grad():
     x = RNG.standard_normal((3, 3))
     assert tn.grad_check(lambda t: tn.sum_all(tn.silu(t)), x) < 1e-6
-    pos = np.abs(RNG.standard_normal(4)) + 0.5
-    assert tn.grad_check(lambda t: tn.sum_all(tn.power(t, -0.5)), pos) < 1e-6
+
+
+def _grad_check_weighted(f, x):
+    """grad_check of a fixed random linear functional of ``f``'s output, so
+    every output entry gets its own weight."""
+    w = Tensor(RNG.standard_normal(f(Tensor(x)).shape))
+    return tn.grad_check(lambda t: tn.sum_all(tn.mul(f(t), w)), x)
+
+
+def test_matmul_broadcasts_leading_axes():
+    for a_shape, b_shape in (((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)),
+                             ((1, 3, 4), (2, 4, 5))):
+        a = RNG.standard_normal(a_shape)
+        b = RNG.standard_normal(b_shape)
+        got = tn.matmul(Tensor(a), Tensor(b)).data
+        a3, b3 = np.broadcast_to(a, (2,) + a_shape[1:]), np.broadcast_to(b, (2,) + b_shape[-2:])
+        expected = np.stack([matmul_loops(a3[i], b3[i]) for i in range(2)])
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
+        assert _grad_check_weighted(lambda t: tn.matmul(t, Tensor(b)), a) < 1e-6
+        assert _grad_check_weighted(lambda t: tn.matmul(Tensor(a), t), b) < 1e-6
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+        tn.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
+
+def test_transpose_axes_forward_and_grad():
+    x = RNG.standard_normal((2, 3, 4))
+    assert np.array_equal(tn.transpose(Tensor(x), (1, 2, 0)).data, x.transpose(1, 2, 0))
+    assert np.array_equal(tn.transpose(Tensor(x[0])).data, x[0].T)
+    assert _grad_check_weighted(lambda t: tn.transpose(t, (1, 2, 0)), x) < 1e-6
+
+
+def test_normalize_rows_oracle_and_grad():
+    x = RNG.standard_normal((4, 6)) * 3.0 + 1.0
+    got = tn.normalize_rows(Tensor(x), 1e-5).data
+    mu = x.mean(axis=1, keepdims=True)
+    expected = (x - mu) / np.sqrt(((x - mu) ** 2).mean(axis=1, keepdims=True) + 1e-5)
+    assert np.max(np.abs(got - expected)) < 1e-12
+    assert _grad_check_weighted(lambda t: tn.normalize_rows(t, 1e-5), x) < 1e-6
+
+
+def test_shift_sum_grads_at_every_length():
+    # Lengths below, at and above the kernel's half width.
+    kernel = RNG.standard_normal((5, 3))
+    for length in (1, 2, 3, 7):
+        x = RNG.standard_normal((length, 3))
+        assert _grad_check_weighted(lambda t: tn.shift_sum(t, Tensor(kernel)), x) < 1e-6
+        assert _grad_check_weighted(lambda t: tn.shift_sum(Tensor(x), t), kernel) < 1e-6

@@ -12,6 +12,7 @@ from mmasr.ctc import check_feasible
 from mmasr.data import CorpusConfig, gen_corpus
 from mmasr.encoder import EncoderConfig
 from mmasr.errors import (
+    CheckpointError,
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -55,7 +56,7 @@ def model_bytes(model, prefix=""):
 def test_single_sgd_step_on_quadratic():
     # minimize (w - 1)^2 from w = 2 with lr = 0.1: one step lands on 1.8
     w = Tensor(np.array(2.0))
-    loss = tn.mul(tn.add_scalar(w, -1.0), tn.add_scalar(w, -1.0))
+    loss = tn.mul(tn.add(w, -1.0), tn.add(w, -1.0))
     loss.backward()
     w.data = w.data - 0.1 * w.grad
     assert float(w.data) == pytest.approx(1.8, abs=1e-12)
@@ -66,7 +67,7 @@ def test_adam_converges_on_quadratic():
     opt = Adam({"w": w}, ["w"], peak_lr=0.1, warmup=5)
     for _ in range(300):
         opt.zero_grad()
-        loss = tn.mul(tn.add_scalar(w, -1.0), tn.add_scalar(w, -1.0))
+        loss = tn.mul(tn.add(w, -1.0), tn.add(w, -1.0))
         loss.backward()
         opt.step()
     assert abs(float(w.data) - 1.0) < 1e-3
@@ -183,6 +184,35 @@ def test_infeasible_utterances_are_skipped():
     assert np.isnan(report["loss_total"])
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_all_skipped_step_logs_null(tmp_path):
+    _, splits = gen_corpus(MICRO_CORPUS)
+    utt = dataclasses.replace(splits["train"][0], ref=[1, 2, 3, 4, 5, 6, 1, 2, 3, 4])
+    cfg = TrainConfig(stage="audio_only", max_steps=2, batch_size=1)
+    log = tmp_path / "stage1.log"
+    run_stage(micro_model(), [utt], cfg, log_path=str(log))
+    records = [json.loads(line, parse_constant=_reject_constant)
+               for line in log.read_text().splitlines()]
+    assert [r["step"] for r in records] == [1, 2]
+    assert all(r[k] is None for r in records for k in ("loss_total", "loss_ctc", "loss_att"))
+
+
+def test_decoding_never_reads_the_reference():
+    from mmasr.train import decode_utterance
+
+    _, splits = gen_corpus(MICRO_CORPUS)
+    model = micro_model(seed=2)
+    for utt in splits["test"]:
+        fake = dataclasses.replace(utt, ref=[1])
+        for use_visual in (False, True):
+            a = decode_utterance(model, utt, use_visual, beam=2)
+            b = decode_utterance(model, fake, use_visual, beam=2)
+            assert (a.tokens, a.log_prob) == (b.tokens, b.log_prob)
+
+
 def _train_briefly(model, splits, steps, seed=3):
     cfg = TrainConfig(stage="audio_only", max_steps=steps, batch_size=2,
                       seed=seed, peak_lr=2e-3)
@@ -267,6 +297,40 @@ def test_checkpoint_corruption_errors(tmp_path):
     _rewrite_header(bad_name, lambda h: h["params"][0].update(name="nonsense"))
     with pytest.raises(CheckpointShapeError):
         load_checkpoint(str(bad_name))
+
+
+def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path):
+    model = micro_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model)
+    corruptions = {
+        "no_model_config": lambda h: h.pop("model_config"),
+        "unknown_encoder_key": lambda h: h["model_config"]["encoder"].update(depth=3),
+        "params_not_a_list": lambda h: h.update(params={"a": [1]}),
+    }
+    for name, mutate in corruptions.items():
+        bad = tmp_path / f"{name}.ckpt"
+        bad.write_bytes(path.read_bytes())
+        _rewrite_header(bad, mutate)
+        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+            load_checkpoint(str(bad))
+    trailing = tmp_path / "trailing.ckpt"
+    trailing.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="after its payload"):
+        load_checkpoint(str(trailing))
+
+
+def test_removed_intermediate_ctc_key_loads_only_as_null(tmp_path):
+    model = micro_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model)
+    _rewrite_header(path, lambda h: h["model_config"]["encoder"].update(
+        intermediate_ctc_block=None))
+    assert model_bytes(load_checkpoint(str(path))[0]) == model_bytes(model)
+    _rewrite_header(path, lambda h: h["model_config"]["encoder"].update(
+        intermediate_ctc_block=1))
+    with pytest.raises(CheckpointError, match="intermediate"):
+        load_checkpoint(str(path))
 
 
 def test_truncated_checkpoint_names_parameter(tmp_path):
