@@ -182,7 +182,7 @@ def _read_hypotheses(path):
 
 def cmd_eval(args):
     vocab = read_vocab(args.vocab)
-    refs = read_split(args.ref, vocab.d_in)
+    refs = read_split(args.ref, vocab)
     hyps = _read_hypotheses(args.hyp)
     per_utt, paths = [], []
     totals = None

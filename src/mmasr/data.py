@@ -270,7 +270,12 @@ def _utterance_record(utt):
     }
 
 
-def _parse_record(line, record_index, d_in):
+def _is_id(x):
+    # bool is a subclass of int, but true/false are not token ids
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_record(line, record_index, vocab):
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as e:
@@ -283,8 +288,14 @@ def _parse_record(line, record_index, d_in):
     uid = rec["id"]
     ref, durations, ocr = rec["ref"], rec["durations"], rec["ocr"]
     for name, val in (("ref", ref), ("durations", durations), ("ocr", ocr)):
-        if not isinstance(val, list) or not all(isinstance(x, int) for x in val):
+        if not isinstance(val, list) or not all(_is_id(x) for x in val):
             raise CorpusFormatError(f"field '{name}' is not an integer list",
+                                    record=record_index)
+    ocr_max = 2 * vocab.size + vocab.n_background
+    for name, val, top in (("ref", ref, vocab.size), ("ocr", ocr, ocr_max)):
+        bad = [x for x in val if not 1 <= x <= top]
+        if bad:
+            raise CorpusFormatError(f"field '{name}' holds id {bad[0]} outside 1..{top}",
                                     record=record_index)
     if not isinstance(uid, str):
         raise CorpusFormatError("field 'id' is not a string", record=record_index)
@@ -296,6 +307,7 @@ def _parse_record(line, record_index, d_in):
         raw = base64.b64decode(rec["frames"], validate=True)
     except Exception as e:
         raise CorpusFormatError(f"bad base64 frame block: {e}", record=record_index) from e
+    d_in = vocab.d_in
     expected = sum(durations) * d_in * 4
     if len(raw) != expected:
         raise CorpusFormatError(
@@ -314,12 +326,14 @@ def write_split(path, utterances):
             f.write("\n")
 
 
-def read_split(path, d_in):
+def read_split(path, vocab):
+    """Utterances of one JSONL split file; frame width and token id ranges
+    are checked against ``vocab``."""
     out = []
     with open(path, "r", encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
             if line.strip():
-                out.append(_parse_record(line, i, d_in))
+                out.append(_parse_record(line, i, vocab))
     return out
 
 
@@ -358,5 +372,5 @@ def read_corpus(in_dir, splits=SPLITS):
     for split in splits:
         path = os.path.join(in_dir, f"{split}.jsonl")
         if os.path.exists(path):
-            out[split] = read_split(path, vocab.d_in)
+            out[split] = read_split(path, vocab)
     return vocab, out

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import tensor as tn
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import (
@@ -21,6 +23,7 @@ from .layers import (
     embed,
     feed_forward,
     init_attention_params,
+    key_mask,
 )
 from .encoder import (
     FeedForwardParams,
@@ -121,31 +124,45 @@ def dual_cross_attention(q, t_feats, i_feats, params):
     """Sum of the audio-branch and visual-branch cross-attentions.
 
     When the visual sequence is empty the visual term is defined as exactly
-    zero; no softmax over an empty key set is ever evaluated.
+    zero; no softmax over an empty key set is ever evaluated. In a padded
+    batch each branch sees only its row's valid keys, and a row without
+    visual tokens adds an exact 0.0.
     """
-    if q.shape[1] != params.audio_branch.d_model:
+    if q.shape[-1] != params.audio_branch.d_model:
         raise ShapeError(
-            f"query d_model {q.shape[1]} != branch d_model {params.audio_branch.d_model}"
+            f"query d_model {q.shape[-1]} != branch d_model {params.audio_branch.d_model}"
         )
-    head_t = attention(q, t_feats.frames, t_feats.frames, params.audio_branch)
+    head_t = attention(q, t_feats.frames, t_feats.frames, params.audio_branch,
+                       mask=key_mask(t_feats.lengths, t_feats.t_len))
     if i_feats.i_len == 0:
         return head_t
-    head_i = attention(q, i_feats.frames, i_feats.frames, params.visual_branch)
+    lengths = i_feats.lengths
+    head_i = attention(q, i_feats.frames, i_feats.frames, params.visual_branch,
+                       mask=key_mask(lengths, i_feats.i_len))
+    if lengths is not None and lengths.min() == 0:
+        head_i = tn.mul(head_i, Tensor((lengths > 0).astype(np.float64)[:, None, None]))
     return tn.add(head_t, head_i)
 
 
-def decoder_forward(targets_in, t_feats, i_feats, cfg, params):
+def decoder_forward(targets_in, t_feats, i_feats, cfg, params, lengths=None):
     """Logits over the decoder vocabulary for each target position.
 
-    ``targets_in`` must begin with BOS; self-attention is causally masked.
+    ``targets_in`` is one sequence [L], or a batch padded to [B x L] with
+    each row's length in ``lengths``; every row begins with BOS.
+    Self-attention is causally masked and, in a batch, sees only the row's
+    valid positions.
     """
-    targets_in = list(targets_in)
-    if not targets_in:
+    targets_in = np.asarray(targets_in, dtype=np.int64)
+    n = targets_in.shape[-1]
+    if n == 0:
         raise ContractError("decoder needs at least the BOS token")
-    if targets_in[0] != cfg.bos_id:
+    if set(np.ravel(targets_in[..., 0]).tolist()) != {cfg.bos_id}:
         raise ContractError(f"targets must begin with BOS (id {cfg.bos_id})")
     x = embed(targets_in, params.embed)
-    mask = Mask.causal(len(targets_in))
+    mask = Mask.causal(n)
+    keys = key_mask(lengths, n)
+    if keys is not None:
+        mask = Mask(mask.allowed & keys.allowed)
     for block in params.blocks:
         h = _ln(x, block.ln_self)
         x = tn.add(x, attention(h, h, h, block.self_attn, mask=mask))

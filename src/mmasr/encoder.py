@@ -19,6 +19,7 @@ from .layers import (
     conv_module,
     feed_forward,
     init_attention_params,
+    key_mask,
     layer_norm,
     sinusoidal_positions,
 )
@@ -45,8 +46,9 @@ class EncoderConfig:
 
 @dataclass
 class AudioFeatures:
-    frames: Tensor  # [t_len x d_model]
+    frames: Tensor  # [t_len x d_model], or a padded batch [B x t_len x d_model]
     t_len: int
+    lengths: np.ndarray = None  # valid frames of each batch row; None: all t_len
 
 
 @dataclass
@@ -132,36 +134,56 @@ def _ln(x, p):
     return layer_norm(x, p.gamma, p.beta)
 
 
-def encoder_block(x, p):
-    """Macaron block: half-FFN, self-attention, conv, half-FFN, layer norm."""
+def encoder_block(x, p, mask=None, frame_mask=None):
+    """Macaron block: half-FFN, self-attention, conv, half-FFN, layer norm.
+
+    In a padded batch, ``mask`` hides the padded keys from self-attention
+    and ``frame_mask`` ([B x t_len x 1], 1 on valid frames) zeroes the
+    padded frames of the conv-module input, so the convolution sees the
+    same zero padding at a row's end as it does for that row alone.
+    """
     x = tn.add(x, tn.scale(feed_forward(_ln(x, p.ln_ffn1), p.ffn1.w1, p.ffn1.w2), 0.5))
     h = _ln(x, p.ln_attn)
-    x = tn.add(x, attention(h, h, h, p.attn))
-    x = tn.add(x, conv_module(_ln(x, p.ln_conv), p.conv.kernel,
-                              w_in=p.conv.w_in, w_out=p.conv.w_out, act=tn.silu))
+    x = tn.add(x, attention(h, h, h, p.attn, mask=mask))
+    h = _ln(x, p.ln_conv)
+    if frame_mask is not None:
+        h = tn.mul(h, frame_mask)
+    x = tn.add(x, conv_module(h, p.conv.kernel, w_in=p.conv.w_in, w_out=p.conv.w_out,
+                              act=tn.silu))
     x = tn.add(x, tn.scale(feed_forward(_ln(x, p.ln_ffn2), p.ffn2.w1, p.ffn2.w2), 0.5))
     return _ln(x, p.ln_out)
 
 
-def encode_audio(frames, cfg, params):
-    """Project, subsample by strided mean pooling, add positions, run the stack."""
+def encode_audio(frames, cfg, params, lengths=None):
+    """Project, subsample by strided mean pooling, add positions, run the stack.
+
+    ``frames`` is one utterance [raw_len x d_in], or a batch zero-padded to
+    [B x raw_len x d_in] with each row's raw frame count in ``lengths``.
+    """
     frames = tn.as_tensor(frames)
-    raw_len = frames.shape[0]
-    if raw_len < cfg.subsample_factor:
+    factor = cfg.subsample_factor
+    shortest = frames.shape[-2] if lengths is None else int(np.min(lengths))
+    if shortest < factor:
         raise ContractError(
-            f"input of {raw_len} frames is shorter than subsample factor "
-            f"{cfg.subsample_factor}"
+            f"input of {shortest} frames is shorter than subsample factor {factor}"
         )
     h = tn.matmul(frames, params.in_proj)
-    if cfg.subsample_factor > 1:
-        h = tn.mean_pool_rows(h, cfg.subsample_factor)
-    t_len = h.shape[0]
+    if factor > 1:
+        h = tn.mean_pool_rows(h, factor, lengths)
+    t_len = h.shape[-2]
+    if lengths is not None:
+        lengths = -(-np.asarray(lengths, dtype=np.int64) // factor)
     h = tn.add(h, Tensor(sinusoidal_positions(t_len, cfg.d_model)))
+    mask = key_mask(lengths, t_len)
+    frame_mask = None
+    if mask is not None:
+        frame_mask = Tensor(np.swapaxes(mask.allowed, -1, -2).astype(np.float64))
     for block in params.blocks:
-        h = encoder_block(h, block)
-    return AudioFeatures(frames=h, t_len=t_len)
+        h = encoder_block(h, block, mask, frame_mask)
+    return AudioFeatures(frames=h, t_len=t_len, lengths=lengths)
 
 
 def ctc_head(features, w):
-    """Per-frame log-softmax over vocab plus blank (index 0)."""
+    """Per-frame log-softmax over vocab plus blank (index 0), padded frames
+    included."""
     return tn.log_softmax_rows(tn.matmul(features.frames, w))

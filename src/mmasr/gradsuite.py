@@ -4,6 +4,8 @@ configurations."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import ctc as ctc_mod
@@ -13,7 +15,6 @@ from .decoder import dual_cross_attention, decoder_forward
 from .encoder import (
     AudioFeatures,
     EncoderConfig,
-    ctc_head,
     encode_audio,
     init_encoder_params,
 )
@@ -27,7 +28,7 @@ from .layers import (
 from .model import Model, ModelConfig, make_decoder_config
 from .tensor import Tensor
 from .train import TrainConfig, utterance_losses
-from .visual import encode_visual, init_visual_params
+from .visual import encode_visual
 from .model import _walk  # noqa: F401  (re-exported for tests)
 
 DEFAULT_EPS = 1e-5
@@ -132,9 +133,9 @@ def check_encoder(rng, eps):
     return max(errs)
 
 
-def _micro_model(rng_seed):
+def _micro_model(rng_seed, subsample_factor=1):
     enc = EncoderConfig(n_blocks=1, n_heads=2, d_model=4, d_ff=6, conv_width=3,
-                        subsample_factor=1)
+                        subsample_factor=subsample_factor)
     dec = make_decoder_config(3, 2, n_blocks=2, n_heads=2, d_model=4, d_ff=6)
     cfg = ModelConfig(d_in=3, v_content=3, n_background=2, encoder=enc, decoder=dec)
     return Model.init(cfg, rng_seed)
@@ -194,27 +195,58 @@ def check_ctc_loss(rng, eps):
         lambda t: ctc_mod.ctc_loss(tn.log_softmax_rows(t), labels), x, eps)
 
 
-def check_train_loss(rng, eps):
-    model = _micro_model(int(rng.integers(1 << 30)))
+def _micro_batch(rng, n):
+    """``n`` micro-corpus training utterances (2 to 6 frames each)."""
     corpus_cfg = CorpusConfig(v=3, n_groups=1, group_size=2, n_background=2,
                               d_in=3, duration_min=2, duration_max=3,
                               sent_len_min=1, sent_len_max=2,
-                              n_train=1, n_valid=1, n_test=1,
+                              n_train=n, n_valid=1, n_test=1,
                               seed=int(rng.integers(1 << 30)))
-    _, splits = gen_corpus(corpus_cfg)
-    utt = splits["train"][0]
-    tcfg = TrainConfig(stage="fusion", lambda_ctc=0.3)
+    return gen_corpus(corpus_cfg)[1]["train"]
 
+
+def _train_loss_grad_errs(model, batch, flags, tcfg, names, eps):
     def total():
-        l_ctc, l_att = utterance_losses(model, utt, True, tcfg)
+        l_ctc, l_att, _ = utterance_losses(model, batch, flags, tcfg)
         return tn.add(tn.scale(l_ctc, tcfg.lambda_ctc),
                       tn.scale(l_att, 1.0 - tcfg.lambda_ctc))
 
     flat = model.named_parameters()
-    errs = []
-    for name in ("encoder.in_proj", "ctc_w", "visual.attn.w_k",
-                 "decoder.blocks.0.cross.audio_branch.w_q", "decoder.out_w"):
-        errs.append(param_grad_check(total, flat[name], eps))
+    return [param_grad_check(total, flat[name], eps) for name in names]
+
+
+def check_train_loss(rng, eps):
+    model = _micro_model(int(rng.integers(1 << 30)))
+    utt = _micro_batch(rng, 1)[0]
+    tcfg = TrainConfig(stage="fusion", lambda_ctc=0.3)
+    names = ("encoder.in_proj", "ctc_w", "visual.attn.w_k",
+             "decoder.blocks.0.cross.audio_branch.w_q", "decoder.out_w")
+    return max(_train_loss_grad_errs(model, [utt], [True], tcfg, names, eps))
+
+
+def check_padded_train_loss(rng, eps):
+    """The combined loss of a zero-padded batch of two utterances of
+    different lengths, subsampled by 2: stage 1, then stage 2 with one row
+    without OCR."""
+    model = _micro_model(int(rng.integers(1 << 30)), subsample_factor=2)
+    one = _micro_batch(rng, 1)[0]
+    # 3 to 7 frames, and a 2-frame row with one token, which is always feasible
+    audio = np.concatenate([one.audio, one.audio[:1]])
+    t_len = -(-len(audio) // 2)
+    ref = one.ref if t_len >= len(one.ref) + ctc_mod.count_repeats(one.ref) else one.ref[:1]
+    long = dataclasses.replace(one, ref=ref, audio=audio)
+    short = dataclasses.replace(one, ref=one.ref[:1], audio=one.audio[:2], ocr=[])
+    batch = [long, short]
+    stage1 = TrainConfig(stage="audio_only", lambda_ctc=0.3)
+    errs = _train_loss_grad_errs(
+        model, batch, [False, False], stage1,
+        ("encoder.in_proj", "encoder.blocks.0.conv.kernel", "ctc_w",
+         "decoder.blocks.0.self_attn.w_k", "decoder.out_w"), eps)
+    stage2 = TrainConfig(stage="fusion", lambda_ctc=0.3)
+    errs += _train_loss_grad_errs(
+        model, batch, [True, True], stage2,
+        ("visual.attn.w_k", "visual.embed", "decoder.blocks.1.cross.visual_branch.w_o",
+         "decoder.blocks.0.cross.audio_branch.w_v"), eps)
     return max(errs)
 
 
@@ -228,10 +260,12 @@ CHECKS = {
     "decoder_forward": check_decoder_forward,
     "ctc_loss": check_ctc_loss,
     "train_loss": check_train_loss,
+    "padded_train_loss": check_padded_train_loss,
 }
 
 # Heavier whole-stack checks run fewer random configs than single layers.
-CASES = {"encoder_stack": 20, "decoder_forward": 20, "train_loss": 20}
+CASES = {"encoder_stack": 20, "decoder_forward": 20, "train_loss": 20,
+         "padded_train_loss": 10}
 
 
 def run_suite(n_cases=20, eps=DEFAULT_EPS, tol=DEFAULT_TOL, seed=0):

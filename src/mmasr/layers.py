@@ -4,6 +4,7 @@ depthwise convolution module, and token embedding with sinusoidal positions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,11 +44,39 @@ class AttentionParams:
 
 @dataclass
 class Mask:
-    allowed: np.ndarray  # bool, [query_len x key_len]
+    allowed: np.ndarray  # bool, broadcastable to [..., query_len x key_len]
 
     @classmethod
     def causal(cls, n):
         return cls(np.tril(np.ones((n, n), dtype=bool)))
+
+    @classmethod
+    def keys(cls, lengths, n_keys):
+        """[B x 1 x n_keys]: every query of row b sees its first lengths[b] keys."""
+        return cls(np.arange(n_keys) < np.asarray(lengths)[:, None, None])
+
+
+def key_mask(lengths, n_keys):
+    """Key-padding mask of a padded batch, or None when nothing is padded.
+
+    A row of length 0 sees its first key, so that its softmax is defined;
+    the caller discards what that row computes.
+    """
+    if lengths is None:
+        return None
+    lengths = np.maximum(lengths, 1)
+    return None if lengths.min() == n_keys else Mask.keys(lengths, n_keys)
+
+
+def pad_batch(seqs, dtype=np.int64):
+    """Stack sequences of different lengths along a new leading axis,
+    zero-padding each at its end; returns (array [B x L_max ...], lengths)."""
+    seqs = [np.asarray(x, dtype=dtype) for x in seqs]
+    lengths = np.array([len(x) for x in seqs], dtype=np.int64)
+    out = np.zeros((len(seqs), int(lengths.max())) + seqs[0].shape[1:], dtype=dtype)
+    for row, x in zip(out, seqs):
+        row[: len(x)] = x
+    return out, lengths
 
 
 def init_attention_params(d_model, n_heads, rng):
@@ -61,51 +90,76 @@ def init_attention_params(d_model, n_heads, rng):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _head_axes(n_lead):
+    """Permutations of [..., L x h x d_k] after ``n_lead`` leading axes:
+    (L, h) swapped, its own inverse, and [..., h x d_k x L]."""
+    lead = tuple(range(n_lead))
+    return lead + (n_lead + 1, n_lead, n_lead + 2), lead + (n_lead + 1, n_lead + 2, n_lead)
+
+
 def attention(q, k, v, params, mask=None):
     """Multi-head scaled dot-product attention with projected q/k/v.
 
-    Masked positions get an additive -1e9 penalty before the softmax; a
-    query row with no visible key is a contract violation.
+    ``q`` is [..., L_q x d_model] and ``k``, ``v`` are [..., L_k x d_model]
+    with the same leading axes. Masked positions get an additive -1e9
+    penalty before the softmax; ``mask.allowed`` broadcasts to
+    [..., L_q x L_k], and a query row with no visible key is a contract
+    violation.
     """
-    d_model = q.shape[1]
-    if d_model != params.d_model or k.shape[1] != d_model or v.shape[1] != d_model:
+    q_shape, k_shape = q.data.shape, k.data.shape
+    lead, (L_q, d_model), L_k = q_shape[:-2], q_shape[-2:], k_shape[-2]
+    if d_model != params.d_model or k_shape[-1] != d_model or v.data.shape != k_shape:
         raise ShapeError(
-            f"attention d_model mismatch: q {q.shape}, k {k.shape}, "
-            f"v {v.shape}, params d_model {params.d_model}"
+            f"attention shapes do not match: q {q_shape}, k {k_shape}, "
+            f"v {v.data.shape}, params d_model {params.d_model}"
         )
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"k/v length mismatch: {k.shape} vs {v.shape}")
+    if k_shape[:-2] != lead:
+        raise ShapeError(f"q and k leading axes differ: {q_shape} vs {k_shape}")
     penalty = None
     if mask is not None:
-        if mask.allowed.shape != (q.shape[0], k.shape[0]):
+        scores_shape = lead + (L_q, L_k)
+        if mask.allowed.shape != scores_shape and not _broadcasts(
+                mask.allowed.shape, scores_shape):
             raise ShapeError(
-                f"mask shape {mask.allowed.shape} does not match "
-                f"(L_q, L_k) = ({q.shape[0]}, {k.shape[0]})"
+                f"mask shape {mask.allowed.shape} does not broadcast to "
+                f"(..., L_q, L_k) = {scores_shape}"
             )
-        if not mask.allowed.any(axis=1).all():
+        if not mask.allowed.any(axis=-1).all():
             raise ContractError("mask leaves a query row with no visible keys")
-        penalty = Tensor(np.where(mask.allowed, 0.0, MASK_PENALTY))
+        penalty = np.where(mask.allowed, 0.0, MASK_PENALTY)
+        if penalty.ndim > 2:
+            penalty = penalty[..., None, :, :]  # the same for every head
+        penalty = Tensor(penalty)
 
     h, d_k = params.n_heads, params.d_k
+    swap, to_keys = _head_axes(len(lead))
 
     def split_heads(x, w, axes):
-        # [L x d_model] -> [L x h x d_k], then permuted to put the head axis first
-        return tn.transpose(tn.reshape(tn.matmul(x, w), (x.shape[0], h, d_k)), axes)
+        # [..., L x d_model] -> [..., L x h x d_k], then permuted by ``axes``
+        return tn.transpose(tn.reshape(tn.matmul(x, w), x.shape[:-1] + (h, d_k)), axes)
 
-    qh = split_heads(q, params.w_q, (1, 0, 2))  # [h x L_q x d_k]
-    kh = split_heads(k, params.w_k, (1, 2, 0))  # [h x d_k x L_k]
-    vh = split_heads(v, params.w_v, (1, 0, 2))  # [h x L_k x d_k]
+    qh = split_heads(q, params.w_q, swap)  # [..., h x L_q x d_k]
+    kh = split_heads(k, params.w_k, to_keys)  # [..., h x d_k x L_k]
+    vh = split_heads(v, params.w_v, swap)  # [..., h x L_k x d_k]
     scores = tn.scale(tn.matmul(qh, kh), 1.0 / math.sqrt(d_k))
     if penalty is not None:
         scores = tn.add(scores, penalty)
-    heads = tn.matmul(tn.softmax_rows(scores), vh)  # [h x L_q x d_k]
-    merged = tn.reshape(tn.transpose(heads, (1, 0, 2)), (q.shape[0], d_model))
+    heads = tn.matmul(tn.softmax_rows(scores), vh)  # [..., h x L_q x d_k]
+    merged = tn.reshape(tn.transpose(heads, swap), lead + (L_q, d_model))
     return tn.matmul(merged, params.w_o)
+
+
+def _broadcasts(shape, target):
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
 
 
 def layer_norm(x, gamma, beta, eps=LAYER_NORM_EPS):
     """Per-row normalization to zero mean / unit variance, then scale and shift."""
-    d = x.shape[1]
+    d = x.shape[-1]
     if gamma.shape != (d,) and gamma.shape != (1, d):
         raise ShapeError(f"gamma shape {gamma.shape} does not match d={d}")
     return tn.add(tn.mul(tn.normalize_rows(x, eps), gamma), beta)
@@ -117,12 +171,13 @@ def feed_forward(x, w1, w2, act=tn.relu):
 
 
 def depthwise_conv(x, kernel):
-    """Per-channel 1-D convolution with zero padding; kernel is [width x d]."""
+    """Per-channel 1-D convolution along axis -2 with zero padding; kernel
+    is [width x d]."""
     width = kernel.shape[0]
     if width % 2 == 0:
         raise ConfigError(f"conv width must be odd, got {width}")
-    if kernel.shape[1] != x.shape[1]:
-        raise ShapeError(f"kernel channels {kernel.shape[1]} != d {x.shape[1]}")
+    if kernel.shape[1] != x.shape[-1]:
+        raise ShapeError(f"kernel channels {kernel.shape[1]} != d {x.shape[-1]}")
     return tn.shift_sum(x, kernel)
 
 
@@ -152,13 +207,14 @@ def sinusoidal_positions(length, d):
 
 
 def embed(tokens, table):
-    """Row lookup plus sinusoidal positional encoding."""
+    """Row lookup plus sinusoidal positional encoding; ``tokens`` is [L] or
+    a padded batch [B x L]."""
     tokens = np.asarray(tokens, dtype=np.int64)
     V, d = table.shape
     if tokens.size == 0:
-        return tn.zeros((0, d))
+        return tn.zeros(tokens.shape + (d,))
     if tokens.min() < 0 or tokens.max() >= V:
         bad = tokens[(tokens < 0) | (tokens >= V)][0]
         raise VocabError(f"token id {bad} outside vocabulary of size {V}")
     looked = tn.gather_rows(table, tokens)
-    return tn.add(looked, Tensor(sinusoidal_positions(len(tokens), d)))
+    return tn.add(looked, Tensor(sinusoidal_positions(tokens.shape[-1], d)))

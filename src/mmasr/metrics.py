@@ -74,7 +74,11 @@ def align_edit(ref, hyp):
             j = j - 1
     path.reverse()
     counts = counts_from_path(path, n)
-    assert counts.substitutions + counts.deletions + counts.insertions == int(dist[n, m])
+    if counts.substitutions + counts.deletions + counts.insertions != int(dist[n, m]):
+        raise ContractError(
+            f"alignment path of cost {counts.substitutions + counts.deletions + counts.insertions}"
+            f" does not match the edit distance {int(dist[n, m])}"
+        )
     return counts, path
 
 

@@ -69,6 +69,9 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                # An interior gradient is spent once it has been passed on;
+                # only leaves (parameters and inputs) keep theirs.
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -171,21 +174,35 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    """Matrix product over the last two axes; leading axes broadcast as in np.matmul."""
+    """Matrix product over the last two axes; leading axes broadcast as in np.matmul.
+
+    When ``b`` is a 2-D weight, the rows of ``a`` over all its leading axes
+    form one [N x k] operand, so forward and the weight gradient are one
+    GEMM each rather than a stack of them plus a sum over the stack.
+    """
     a, b = as_tensor(a), as_tensor(b)
+    ad, bd = a.data, b.data
     try:
-        if a.data.ndim < 2 or b.data.ndim < 2:
+        if ad.ndim < 2 or bd.ndim < 2:
             raise ValueError("matmul operands need at least two axes")
-        y = a.data @ b.data
+        flat = ad.ndim > 2 and bd.ndim == 2
+        if flat:
+            rows = ad.reshape(-1, ad.shape[-1])
+            y = (rows @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
+        else:
+            y = ad @ bd
     except ValueError:
-        raise ShapeError(
-            f"matmul shapes do not conform: {a.data.shape} x {b.data.shape}"
-        ) from None
+        raise ShapeError(f"matmul shapes do not conform: {ad.shape} x {bd.shape}") from None
     out = Tensor(y, (a, b))
 
     def backward(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if flat:
+            g_rows = g.reshape(-1, g.shape[-1])
+            _accum(a, (g_rows @ bd.T).reshape(ad.shape))
+            _accum(b, rows.T @ g_rows)
+        else:
+            _accum(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+            _accum(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
     _register(out, backward)
     return out
@@ -290,27 +307,28 @@ def normalize_rows(x, eps):
 
 
 def shift_sum(x, kernel):
-    """Zero-padded depthwise convolution as one node.
+    """Zero-padded depthwise convolution along axis -2 as one node.
 
-    ``x`` is [L x d] and ``kernel`` [width x d] with odd width; output row t
-    is sum_j x[t + j - width // 2] * kernel[j], rows outside x being zero.
+    ``x`` is [..., L x d] and ``kernel`` [width x d] with odd width; output
+    row t is sum_j x[t + j - width // 2] * kernel[j], rows outside x being
+    zero.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    width, L = kernel.data.shape[0], x.data.shape[0]
+    width, (L, d) = kernel.data.shape[0], x.data.shape[-2:]
     half = width // 2
-    padded = np.pad(x.data, ((half, half), (0, 0)))
+    padded = np.pad(x.data, ((0, 0),) * (x.data.ndim - 2) + ((half, half), (0, 0)))
     y = np.zeros_like(x.data)
     for j in range(width):
-        y += padded[j : j + L] * kernel.data[j]
+        y += padded[..., j : j + L, :] * kernel.data[j]
     out = Tensor(y, (x, kernel))
 
     def backward(g):
         g_padded = np.zeros_like(padded)
         g_kernel = np.empty_like(kernel.data)
         for j in range(width):
-            g_padded[j : j + L] += g * kernel.data[j]
-            g_kernel[j] = (g * padded[j : j + L]).sum(axis=0)
-        _accum(x, g_padded[half : half + L])
+            g_padded[..., j : j + L, :] += g * kernel.data[j]
+            g_kernel[j] = (g * padded[..., j : j + L, :]).reshape(-1, d).sum(axis=0)
+        _accum(x, g_padded[..., half : half + L, :])
         _accum(kernel, g_kernel)
 
     _register(out, backward)
@@ -332,22 +350,6 @@ def gather_rows(table, ids):
     return out
 
 
-def take_entries(a, rows, cols):
-    """Pick a[rows[i], cols[i]] into a 1-D tensor."""
-    a = as_tensor(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = Tensor(a.data[rows, cols], (a,))
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, cols), g)
-        _accum(a, full)
-
-    _register(out, backward)
-    return out
-
-
 def reshape(a, shape):
     a = as_tensor(a)
     out = Tensor(a.data.reshape(shape), (a,))
@@ -359,19 +361,32 @@ def reshape(a, shape):
     return out
 
 
-def mean_pool_rows(a, factor):
-    """Strided mean pooling over rows; output length ceil(m / factor)."""
+def mean_pool_rows(a, factor, lengths=None):
+    """Strided mean pooling along axis -2; output length ceil(m / factor).
+
+    ``a`` is [..., m x d]. Without ``lengths`` all m rows are valid. With
+    per-row ``lengths`` (one per index of the leading axes), rows at or
+    beyond a row's length are padding: they are left out of every window,
+    a row's last, partial window is divided by that row's own frame count,
+    a window holding padding alone pools to 0, and padding gets no gradient.
+    """
     a = as_tensor(a)
-    m, rest = a.data.shape[0], a.data.shape[1:]
+    lead, (m, d) = a.data.shape[:-2], a.data.shape[-2:]
     n_out = -(-m // factor)
-    counts = np.full((n_out,) + (1,) * len(rest), float(factor))
-    counts[-1] = m - (n_out - 1) * factor
-    padded = np.zeros((n_out * factor,) + rest)
-    padded[:m] = a.data
-    out = Tensor(padded.reshape((n_out, factor) + rest).sum(axis=1) / counts, (a,))
+    frame = np.arange(n_out * factor)
+    limit = m if lengths is None else np.asarray(lengths).reshape(lead + (1,))
+    valid = (frame < limit).astype(np.float64)  # [..., n_out * factor]
+    counts = valid.reshape(valid.shape[:-1] + (n_out, factor)).sum(axis=-1)
+    counts = np.maximum(counts, 1.0)[..., None]  # [..., n_out, 1]
+    padded = np.zeros(lead + (n_out * factor, d))
+    padded[..., :m, :] = a.data
+    padded *= valid[..., None]
+    windows = padded.reshape(lead + (n_out, factor, d)).sum(axis=-2)
+    out = Tensor(windows / counts, (a,))
 
     def backward(g):
-        _accum(a, np.repeat(g / counts, factor, axis=0)[:m])
+        spread = np.repeat(g / counts, factor, axis=-2) * valid[..., None]
+        _accum(a, spread[..., :m, :])
 
     _register(out, backward)
     return out
@@ -411,7 +426,3 @@ def grad_check(f, x, eps=1e-5):
 
 def zeros(shape):
     return Tensor(np.zeros(shape, dtype=np.float64))
-
-
-def full(shape, value):
-    return Tensor(np.full(shape, float(value), dtype=np.float64))

@@ -8,6 +8,7 @@ and trains the fusion decoder plus the visual encoder.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from .errors import (
     FeasibilityError,
     RecipeError,
 )
+from .layers import pad_batch
 from .metrics import EditCounts, align_edit, wer
 from .model import Model, ModelConfig
 from .visual import empty_visual, encode_visual
@@ -134,67 +136,75 @@ def _is_fusion_param(name):
     return name.startswith("visual.") or ".cross.visual_branch." in name
 
 
-def label_smoothed_ce(logits, targets, smoothing):
-    """Mean label-smoothed cross-entropy over positions."""
-    n, vocab = logits.shape
-    logp = tn.log_softmax_rows(logits)
-    picked = tn.sum_all(tn.take_entries(logp, np.arange(n), np.asarray(targets)))
-    loss = tn.scale(picked, -(1.0 - smoothing))
-    if smoothing > 0.0:
-        loss = tn.add(loss, tn.scale(tn.sum_all(logp), -smoothing / vocab))
-    return tn.scale(loss, 1.0 / n)
+def label_smoothed_ce(logits, targets, smoothing, lengths=None):
+    """Label-smoothed cross-entropy, the mean over each sequence's positions
+    averaged over the sequences.
+
+    ``logits`` is [L x V] with ``targets`` [L], or a padded batch
+    [B x L x V] with targets [B x L] and each row's length n_b in
+    ``lengths``: a valid position of row b weighs 1/n_b, a padded one 0.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    vocab = logits.shape[-1]
+    rows = targets.reshape(-1, targets.shape[-1])  # [B x L]
+    n = np.full(len(rows), rows.shape[1]) if lengths is None else np.asarray(lengths)
+    per_position = (np.arange(rows.shape[1]) < n[:, None]) / (n[:, None] * len(rows))
+    weights = np.full(rows.shape + (vocab,), smoothing / vocab)
+    np.put_along_axis(weights, rows[..., None], 1.0 - smoothing + smoothing / vocab, -1)
+    weights *= -per_position[..., None]
+    picked = tn.mul(tn.log_softmax_rows(logits), tn.Tensor(weights.reshape(logits.shape)))
+    return tn.sum_all(picked)
 
 
-def utterance_losses(model, utt, use_visual, cfg):
-    """CTC and attention losses for one utterance; raises FeasibilityError
-    when the subsampled frame count cannot align the reference."""
-    enc_cfg = model.cfg.encoder
-    t_len = -(-utt.audio.shape[0] // enc_cfg.subsample_factor)
-    ctc_mod.check_feasible(t_len, utt.ref)
-    audio = np.asarray(utt.audio, dtype=np.float64)
-    if cfg.freeze_encoder:
-        # Frozen speech path: detach the encoder and report CTC without grads.
-        with tn.no_grad():
-            feats = encode_audio(audio, enc_cfg, model.encoder)
-            loss_ctc = ctc_mod.ctc_loss(ctc_head(feats, model.ctc_w), utt.ref)
-    else:
-        feats = encode_audio(audio, enc_cfg, model.encoder)
-        loss_ctc = ctc_mod.ctc_loss(ctc_head(feats, model.ctc_w), utt.ref)
-    if use_visual and utt.ocr:
-        vis = encode_visual(utt.ocr, model.visual, frozen=cfg.freeze_visual)
-    else:
-        vis = empty_visual(model.cfg.decoder.d_model)
-    dec_cfg = model.cfg.decoder
-    targets_in = [dec_cfg.bos_id] + list(utt.ref)
-    targets_out = list(utt.ref) + [dec_cfg.eos_id]
-    logits = decoder_forward(targets_in, feats, vis, dec_cfg, model.decoder)
-    loss_att = label_smoothed_ce(logits, targets_out, cfg.label_smoothing)
-    return loss_ctc, loss_att
+def utterance_losses(model, batch, use_visual_flags, cfg):
+    """Batch-mean CTC and attention losses of the utterances in ``batch``,
+    built as one zero-padded, masked graph.
+
+    An utterance whose subsampled frame count cannot align its reference is
+    skipped. Returns (CTC loss, attention loss, number skipped); the losses
+    are None when every utterance was skipped.
+    """
+    enc_cfg, dec_cfg = model.cfg.encoder, model.cfg.decoder
+    kept = []
+    for utt, use_visual in zip(batch, use_visual_flags):
+        try:
+            ctc_mod.check_feasible(-(-utt.audio.shape[0] // enc_cfg.subsample_factor),
+                                   utt.ref)
+        except FeasibilityError:
+            continue
+        kept.append((utt, use_visual))
+    skipped = len(batch) - len(kept)
+    if not kept:
+        return None, None, skipped
+    utts = [utt for utt, _ in kept]
+    frames, raw_lengths = pad_batch([utt.audio for utt in utts], dtype=np.float64)
+    # Frozen speech path: detach the encoder and report CTC without grads.
+    with tn.no_grad() if cfg.freeze_encoder else contextlib.nullcontext():
+        feats = encode_audio(frames, enc_cfg, model.encoder, raw_lengths)
+        per_utt = ctc_mod.ctc_loss(ctc_head(feats, model.ctc_w),
+                                   [utt.ref for utt in utts], feats.lengths)
+        loss_ctc = tn.scale(tn.sum_all(per_utt), 1.0 / len(utts))
+    ocr, ocr_lengths = pad_batch([utt.ocr if use_visual else [] for utt, use_visual in kept])
+    vis = encode_visual(ocr, model.visual, frozen=cfg.freeze_visual, lengths=ocr_lengths)
+    targets_in, n_in = pad_batch([[dec_cfg.bos_id] + list(utt.ref) for utt in utts])
+    targets_out, _ = pad_batch([list(utt.ref) + [dec_cfg.eos_id] for utt in utts])
+    logits = decoder_forward(targets_in, feats, vis, dec_cfg, model.decoder, lengths=n_in)
+    loss_att = label_smoothed_ce(logits, targets_out, cfg.label_smoothing, n_in)
+    return loss_ctc, loss_att, skipped
 
 
 def train_step(model, batch, cfg, opt, use_visual_flags=None):
-    """One optimizer update on a batch. Infeasible utterances are skipped
-    (counted, never fatal). Returns the loss report for the step."""
+    """One optimizer update on a batch, from one graph. Infeasible
+    utterances are skipped (counted, never fatal). Returns the loss report
+    for the step."""
     if not batch:
         raise ConfigError("empty batch")
     if use_visual_flags is None:
         use_visual_flags = [cfg.stage == "fusion"] * len(batch)
-    ctc_losses, att_losses = [], []
-    skipped = 0
-    for utt, use_visual in zip(batch, use_visual_flags):
-        try:
-            l_ctc, l_att = utterance_losses(model, utt, use_visual, cfg)
-        except FeasibilityError:
-            skipped += 1
-            continue
-        ctc_losses.append(l_ctc)
-        att_losses.append(l_att)
-    if not ctc_losses:
+    mean_ctc, mean_att, skipped = utterance_losses(model, batch, use_visual_flags, cfg)
+    if mean_ctc is None:
         return {"loss_total": math.nan, "loss_ctc": math.nan,
                 "loss_att": math.nan, "lr": opt.lr(opt.t + 1), "skipped": skipped}
-    n = len(ctc_losses)
-    mean_ctc = tn.scale(_sum(ctc_losses), 1.0 / n)
-    mean_att = tn.scale(_sum(att_losses), 1.0 / n)
     total = tn.add(tn.scale(mean_ctc, cfg.lambda_ctc),
                    tn.scale(mean_att, 1.0 - cfg.lambda_ctc))
     opt.zero_grad()
@@ -203,13 +213,6 @@ def train_step(model, batch, cfg, opt, use_visual_flags=None):
     opt.zero_grad()
     return {"loss_total": total.item(), "loss_ctc": mean_ctc.item(),
             "loss_att": mean_att.item(), "lr": lr, "skipped": skipped}
-
-
-def _sum(tensors):
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = tn.add(acc, t)
-    return acc
 
 
 def decode_utterance(model, utt, use_visual, beam=4, max_len=None):

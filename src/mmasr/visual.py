@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import tensor as tn
 from .layers import (
     AttentionParams,
@@ -18,6 +20,7 @@ from .layers import (
     embed,
     feed_forward,
     init_attention_params,
+    key_mask,
 )
 from .encoder import (
     FeedForwardParams,
@@ -31,8 +34,9 @@ from .tensor import Tensor
 
 @dataclass
 class VisualFeatures:
-    frames: Tensor  # [i_len x d_model]
+    frames: Tensor  # [i_len x d_model], or a padded batch [B x i_len x d_model]
     i_len: int
+    lengths: np.ndarray = None  # OCR tokens of each batch row, 0 allowed; None: all i_len
 
 
 @dataclass
@@ -58,25 +62,29 @@ def empty_visual(d_model):
     return VisualFeatures(frames=tn.zeros((0, d_model)), i_len=0)
 
 
-def encode_visual(ocr_tokens, params, frozen=False):
+def encode_visual(ocr_tokens, params, frozen=False, lengths=None):
     """Embed OCR tokens and run one self-attention block.
 
-    With ``frozen=True`` the computation is detached from the graph, so no
-    gradient ever reaches the parameters.
+    ``ocr_tokens`` is one sequence [i_len], or a batch zero-padded to
+    [B x i_len] with each row's token count in ``lengths``; a row may have
+    no tokens. With ``frozen=True`` the computation is detached from the
+    graph, so no gradient ever reaches the parameters.
     """
-    ocr_tokens = list(ocr_tokens)
+    tokens = np.asarray(ocr_tokens, dtype=np.int64)
     d_model = params.embed.shape[1]
-    if not ocr_tokens:
+    if tokens.shape[-1] == 0:
         return empty_visual(d_model)
     if frozen:
         with tn.no_grad():
-            return _forward(ocr_tokens, params)
-    return _forward(ocr_tokens, params)
+            return _forward(tokens, params, lengths)
+    return _forward(tokens, params, lengths)
 
 
-def _forward(ocr_tokens, params):
-    x = embed(ocr_tokens, params.embed)
+def _forward(tokens, params, lengths):
+    i_len = tokens.shape[-1]
+    x = embed(tokens, params.embed)
     h = _ln(x, params.ln_attn)
-    x = tn.add(x, attention(h, h, h, params.attn))
+    # A row without tokens attends to its padding; the decoder discards it.
+    x = tn.add(x, attention(h, h, h, params.attn, mask=key_mask(lengths, i_len)))
     x = tn.add(x, feed_forward(_ln(x, params.ln_ffn), params.ffn.w1, params.ffn.w2))
-    return VisualFeatures(frames=x, i_len=len(ocr_tokens))
+    return VisualFeatures(frames=x, i_len=i_len, lengths=lengths)

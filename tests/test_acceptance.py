@@ -14,7 +14,7 @@ import pytest
 from mmasr import tensor as tn
 from mmasr.ctc import count_repeats, ctc_brute_force, ctc_loss
 from mmasr.data import CorpusConfig, gen_corpus, read_corpus, write_corpus
-from mmasr.decoder import decoder_forward, init_decoder_params
+from mmasr.decoder import decoder_forward
 from mmasr.encoder import AudioFeatures, EncoderConfig
 from mmasr.errors import CorpusFormatError, FeasibilityError
 from mmasr.gradsuite import run_suite
@@ -330,7 +330,7 @@ def test_criterion_8_corpus_format(tmp_path, report):
         target = tmp_path / "fuzz.jsonl"
         target.write_text(line + "\n")
         try:
-            read_split(str(target), vocab.d_in)
+            read_split(str(target), vocab)
             caught = False
         except CorpusFormatError:
             caught = True

@@ -139,3 +139,21 @@ def test_oracle_size_bounds():
     lp = rand_log_probs(3, 5)
     with pytest.raises(OracleSizeError):
         ctc_brute_force(lp, [1])
+
+
+def test_padded_batch_matches_each_row_and_padding_gets_no_gradient():
+    rng = np.random.default_rng(99)
+    lengths, labels = [6, 2, 4, 3], [[1, 2, 2], [1], [], [2, 1]]
+    x = rng.standard_normal((4, 6, 3))
+    leaf = Tensor(x)
+    losses = ctc_loss(tn.log_softmax_rows(leaf), labels, lengths)
+    assert losses.shape == (4,)
+    weights = rng.uniform(0.5, 1.5, 4)
+    tn.sum_all(tn.mul(losses, Tensor(weights))).backward()
+    for b, (n, row) in enumerate(zip(lengths, labels)):
+        alone = Tensor(x[b, :n])
+        loss = ctc_loss(tn.log_softmax_rows(alone), row)
+        assert abs(losses.data[b] - loss.item()) < 1e-12 * abs(loss.item())
+        tn.scale(loss, weights[b]).backward()
+        assert np.max(np.abs(leaf.grad[b, :n] - alone.grad)) < 1e-12
+        assert np.array_equal(leaf.grad[b, n:], np.zeros((6 - n, 3)))

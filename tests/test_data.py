@@ -1,5 +1,6 @@
 """Synthetic corpus generator: determinism, statistics, and file format."""
 
+import base64
 import dataclasses
 import json
 import random
@@ -9,7 +10,6 @@ import pytest
 
 from mmasr.data import (
     CorpusConfig,
-    Utterance,
     build_vocab,
     corrupt_to_ocr,
     featurize,
@@ -193,7 +193,7 @@ def test_roundtrip_byte_exact(tmp_path):
 def test_roundtrip_empty_split(tmp_path):
     path = tmp_path / "empty.jsonl"
     write_split(str(path), [])
-    assert read_split(str(path), 4) == []
+    assert read_split(str(path), build_vocab(SMALL)) == []
 
 
 def test_vocab_format_version_checked(tmp_path):
@@ -247,7 +247,7 @@ def test_malformed_record_fuzzing_never_crashes(tmp_path):
         path = tmp_path / f"fuzz{i}.jsonl"
         path.write_text(mutated + "\n")
         try:
-            read_split(str(path), vocab.d_in)
+            read_split(str(path), vocab)
         except CorpusFormatError:
             failures += 1
     # a mutation can occasionally stay valid JSON with consistent fields,
@@ -259,7 +259,41 @@ def test_corpus_format_error_names_record(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "x"}\n')
     with pytest.raises(CorpusFormatError, match="record 1"):
-        read_split(str(path), 4)
+        read_split(str(path), build_vocab(SMALL))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ref", [True]),  # JSON true is not a token id, though bool subclasses int
+    ("ocr", [1, False]),
+    ("ref", [0]),  # the blank id is never spoken
+    ("ref", [SMALL.v + 1]),  # a background id is never spoken
+    ("ocr", [0]),
+    ("ocr", [2 * SMALL.v + SMALL.n_background + 1]),
+    ("ocr", [-3]),
+])
+def test_token_ids_are_typed_and_in_range(tmp_path, field, value):
+    vocab, splits = gen_corpus(SMALL)
+    write_split(str(tmp_path / "base.jsonl"), splits["valid"][:2])
+    lines = (tmp_path / "base.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec[field] = value
+    if field == "ref":  # keep durations and frames consistent with the new ref
+        rec["durations"] = [1] * len(value)
+        rec["frames"] = base64.b64encode(
+            np.zeros((len(value), SMALL.d_in), dtype="<f4").tobytes()).decode("ascii")
+    path = tmp_path / "bad.jsonl"
+    path.write_text(lines[0] + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(CorpusFormatError, match="record 2"):
+        read_split(str(path), vocab)
+
+
+def test_extreme_valid_ids_are_accepted(tmp_path):
+    vocab, splits = gen_corpus(SMALL)
+    utt = dataclasses.replace(splits["valid"][0])
+    utt.ref = [1, SMALL.v] + utt.ref[2:]
+    utt.ocr = [1, 2 * SMALL.v + SMALL.n_background]
+    write_split(str(tmp_path / "edge.jsonl"), [utt])
+    assert read_split(str(tmp_path / "edge.jsonl"), vocab) == [utt]
 
 
 def test_config_validation():

@@ -14,7 +14,7 @@ from mmasr.decoder import (
 )
 from mmasr.encoder import AudioFeatures
 from mmasr.errors import ConfigError
-from mmasr.layers import AttentionParams, init_attention_params
+from mmasr.layers import init_attention_params
 from mmasr.tensor import Tensor
 from mmasr.visual import VisualFeatures, empty_visual
 

@@ -273,3 +273,28 @@ def test_attention_grad_flows_to_all_projections():
     for w in (p.w_q, p.w_k, p.w_v, p.w_o):
         assert w.grad is not None
         assert np.any(w.grad != 0.0)
+
+
+def test_attention_over_a_padded_batch_matches_each_row():
+    d, heads = 8, 2
+    p = _params(d, heads)
+    lengths = np.array([5, 3, 1])
+    x = RNG.standard_normal((3, 5, d))
+    causal_keys = Mask(Mask.causal(5).allowed & Mask.keys(lengths, 5).allowed)
+    for mask in (Mask.keys(lengths, 5), causal_keys):
+        got = attention(Tensor(x), Tensor(x), Tensor(x), p, mask=mask).data
+        for b, n in enumerate(lengths):
+            row = Tensor(x[b, :n])
+            row_mask = Mask.causal(n) if mask is causal_keys else None
+            alone = attention(row, row, row, p, mask=row_mask).data
+            assert np.max(np.abs(got[b, :n] - alone)) < 1e-12
+
+
+def test_batched_mask_must_broadcast_and_see_a_key():
+    p = _params(4, 2)
+    x = Tensor(RNG.standard_normal((2, 3, 4)))
+    attention(x, x, x, p, mask=Mask.keys([3, 1], 3))  # [B x 1 x L_k]
+    with pytest.raises(ShapeError):
+        attention(x, x, x, p, mask=Mask.keys([3, 1, 2], 3))
+    with pytest.raises(ContractError):
+        attention(x, x, x, p, mask=Mask.keys([3, 0], 3))

@@ -1,6 +1,5 @@
 """Edit-distance alignment against an exhaustive recursive oracle."""
 
-import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -164,3 +163,13 @@ def test_error_breakdown_sums_over_paths():
     path = [AlignmentOp("sub", 0, 0, g[0], g[1])]
     b = error_breakdown([path, path, path], vocab)
     assert b.homophone_substitutions == 3
+
+
+def test_align_edit_checks_its_path_without_assert(monkeypatch):
+    # The path/distance agreement must hold under python -O as well.
+    import mmasr.metrics as metrics
+
+    monkeypatch.setattr(metrics, "counts_from_path",
+                        lambda path, n: EditCounts(0, 0, 0, n))
+    with pytest.raises(ContractError, match="edit distance"):
+        metrics.align_edit([1, 2], [2])

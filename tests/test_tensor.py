@@ -117,7 +117,8 @@ def test_grad_check_elementwise_square():
 
 def test_grad_check_softmax_column():
     x = RNG.standard_normal((2, 4))
-    f = lambda t: tn.sum_all(tn.take_entries(tn.softmax_rows(t), [0, 1], [0, 0]))
+    first_column = Tensor(np.eye(4)[0])  # weights 1 on column 0, 0 elsewhere
+    f = lambda t: tn.sum_all(tn.mul(tn.softmax_rows(t), first_column))
     assert tn.grad_check(f, x) < 1e-6
 
 
@@ -151,16 +152,6 @@ def test_gather_rows_accumulates_duplicates():
     out = tn.gather_rows(table, [1, 1, 0])
     tn.sum_all(out).backward()
     assert np.array_equal(table.grad, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
-
-
-def test_take_entries_forward_and_grad():
-    a = Tensor(np.arange(6.0).reshape(2, 3))
-    got = tn.take_entries(a, [0, 1], [2, 0])
-    assert np.array_equal(got.data, np.array([2.0, 3.0]))
-    x = RNG.standard_normal((3, 4))
-    f = lambda t: tn.sum_all(tn.mul(tn.take_entries(t, [0, 2], [1, 3]),
-                                    tn.take_entries(t, [0, 2], [1, 3])))
-    assert tn.grad_check(f, x) < 1e-6
 
 
 def test_mean_pool_rows_ragged_tail():
@@ -231,3 +222,66 @@ def test_shift_sum_grads_at_every_length():
         x = RNG.standard_normal((length, 3))
         assert _grad_check_weighted(lambda t: tn.shift_sum(t, Tensor(kernel)), x) < 1e-6
         assert _grad_check_weighted(lambda t: tn.shift_sum(Tensor(x), t), kernel) < 1e-6
+
+
+def test_matmul_with_2d_weight_flattens_leading_axes():
+    a = RNG.standard_normal((3, 4, 5))
+    w = RNG.standard_normal((5, 2))
+    got = tn.matmul(Tensor(a), Tensor(w)).data
+    assert np.max(np.abs(got - np.stack([x @ w for x in a]))) < 1e-12
+    assert _grad_check_weighted(lambda t: tn.matmul(t, Tensor(w)), a) < 1e-6
+    assert _grad_check_weighted(lambda t: tn.matmul(Tensor(a), t), w) < 1e-6
+
+
+def _backward_keeping_every_grad(root):
+    """Tensor.backward's traversal without freeing interior gradients."""
+    order = tn._topo_order(root)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def test_backward_frees_interior_grads_and_keeps_leaf_grads_bitwise():
+    def build(x, w):
+        h = tn.silu(tn.matmul(x, w))
+        return tn.sum_all(tn.mul(tn.softmax_rows(h), tn.add(h, x)))
+
+    x_data, w_data = RNG.standard_normal((3, 4)), RNG.standard_normal((4, 4))
+    x, w = Tensor(x_data.copy()), Tensor(w_data.copy())
+    loss = build(x, w)
+    loss.backward()
+    interior = [n for n in tn._topo_order(loss) if n._backward is not None]
+    assert interior and all(n.grad is None for n in interior)
+    x_ref, w_ref = Tensor(x_data.copy()), Tensor(w_data.copy())
+    _backward_keeping_every_grad(build(x_ref, w_ref))
+    assert x.grad.tobytes() == x_ref.grad.tobytes()
+    assert w.grad.tobytes() == w_ref.grad.tobytes()
+
+
+def test_mean_pool_rows_per_row_lengths():
+    lengths = [7, 5, 2]
+    x = RNG.standard_normal((3, 7, 2))
+    for b, n in enumerate(lengths):
+        x[b, n:] = 1e3  # padding must not reach any window
+    leaf = Tensor(x)
+    pooled = tn.mean_pool_rows(leaf, 3, lengths)
+    assert pooled.shape == (3, 3, 2)
+    for b, n in enumerate(lengths):
+        alone = tn.mean_pool_rows(Tensor(x[b, :n]), 3).data
+        assert np.max(np.abs(pooled.data[b, : len(alone)] - alone)) < 1e-12
+        assert np.array_equal(pooled.data[b, len(alone):], np.zeros((3 - len(alone), 2)))
+    tn.sum_all(tn.mul(pooled, Tensor(RNG.standard_normal(pooled.shape)))).backward()
+    for b, n in enumerate(lengths):
+        assert np.array_equal(leaf.grad[b, n:], np.zeros((7 - n, 2)))
+    assert _grad_check_weighted(lambda t: tn.mean_pool_rows(t, 3, lengths), x) < 1e-6
+
+
+def test_shift_sum_over_a_batch_matches_each_row():
+    kernel = RNG.standard_normal((3, 2))
+    x = RNG.standard_normal((2, 4, 2))
+    got = tn.shift_sum(Tensor(x), Tensor(kernel)).data
+    for b in range(2):
+        assert np.array_equal(got[b], tn.shift_sum(Tensor(x[b]), Tensor(kernel)).data)
+    assert _grad_check_weighted(lambda t: tn.shift_sum(t, Tensor(kernel)), x) < 1e-6
+    assert _grad_check_weighted(lambda t: tn.shift_sum(Tensor(x), t), kernel) < 1e-6

@@ -8,23 +8,25 @@ import numpy as np
 import pytest
 
 from mmasr import tensor as tn
-from mmasr.ctc import check_feasible
+from mmasr.ctc import check_feasible, ctc_loss
 from mmasr.data import CorpusConfig, gen_corpus
-from mmasr.encoder import EncoderConfig
+from mmasr.decoder import decoder_forward
+from mmasr.encoder import AudioFeatures, EncoderConfig, ctc_head, encode_audio
 from mmasr.errors import (
     CheckpointError,
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
+    FeasibilityError,
     RecipeError,
 )
 from mmasr.model import Model, ModelConfig, make_decoder_config
 from mmasr.tensor import Tensor
 from mmasr.train import (
-    CKPT_MAGIC,
     Adam,
     TrainConfig,
+    label_smoothed_ce,
     load_checkpoint,
     run_recipe,
     run_stage,
@@ -33,6 +35,7 @@ from mmasr.train import (
     trainable_names,
     utterance_losses,
 )
+from mmasr.visual import VisualFeatures
 
 MICRO_CORPUS = CorpusConfig(v=6, n_groups=1, group_size=2, n_background=3,
                             d_in=4, duration_min=2, duration_max=3,
@@ -120,13 +123,13 @@ def test_lambda_endpoints_gate_gradients():
     model = micro_model()
     utt = splits["train"][0]
     cfg = TrainConfig(stage="fusion")
-    l_ctc, l_att = utterance_losses(model, utt, True, cfg)
+    l_ctc, l_att, _ = utterance_losses(model, [utt], [True], cfg)
     l_ctc.backward()  # lambda = 1: only the CTC path contributes
     assert model.ctc_w.grad is not None
     assert model.decoder.out_w.grad is None
 
     model2 = micro_model()
-    l_ctc2, l_att2 = utterance_losses(model2, utt, True, cfg)
+    l_ctc2, l_att2, _ = utterance_losses(model2, [utt], [True], cfg)
     l_att2.backward()  # lambda = 0: CTC head untouched
     assert model2.ctc_w.grad is None
     assert model2.decoder.out_w.grad is not None
@@ -398,3 +401,84 @@ def test_run_recipe_writes_checkpoints_and_logs(tmp_path):
     m2, _, _, _ = load_checkpoint(str(tmp_path / "stage2.ckpt"))
     assert model_bytes(m1, "encoder.") == model_bytes(m2, "encoder.")
     assert model_bytes(m1, "visual.") != model_bytes(m2, "visual.")
+
+
+def _subsampling_model(seed=0):
+    enc = EncoderConfig(n_blocks=1, n_heads=2, d_model=4, d_ff=6, conv_width=3,
+                        subsample_factor=2)
+    dec = make_decoder_config(6, 3, n_blocks=2, n_heads=2, d_model=4, d_ff=6)
+    cfg = ModelConfig(d_in=4, v_content=6, n_background=3, encoder=enc, decoder=dec)
+    return Model.init(cfg, seed)
+
+
+def _losses_and_grads(model, batch, flags, cfg):
+    params = model.named_parameters()
+    for p in params.values():
+        p.grad = None
+    l_ctc, l_att, skipped = utterance_losses(model, batch, flags, cfg)
+    tn.add(tn.scale(l_ctc, cfg.lambda_ctc), tn.scale(l_att, 1.0 - cfg.lambda_ctc)).backward()
+    grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+             for n, p in params.items()}
+    return l_ctc.item(), l_att.item(), skipped, grads
+
+
+@pytest.mark.parametrize("stage", ["audio_only", "fusion"])
+def test_padded_batch_matches_batches_of_one(stage):
+    _, splits = gen_corpus(MICRO_CORPUS)
+    batch = [dataclasses.replace(u) for u in splits["train"][:7]]
+    batch[2].ocr = []  # a row without visual text
+    batch[6].ref = [1, 2, 3, 4, 5, 6, 1, 2, 3, 4]  # infeasible: skipped
+    flags = [stage == "fusion"] * 7
+    flags[4] = False  # a row with visual dropout
+    assert len({len(u.audio) for u in batch}) > 2
+    model = _subsampling_model(seed=3)
+    cfg = TrainConfig(stage=stage)
+    l_ctc, l_att, skipped, grads = _losses_and_grads(model, batch, flags, cfg)
+    singles = [_losses_and_grads(model, [u], [f], cfg)
+               for u, f in zip(batch, flags) if _feasible(model, u)]
+    assert skipped == len(batch) - len(singles) == 1
+    n = len(singles)
+    for got, index in ((l_ctc, 0), (l_att, 1)):
+        want = sum(s[index] for s in singles) / n
+        assert abs(got - want) <= 1e-12 * abs(want)
+    for name, g in grads.items():
+        want = sum(s[3][name] for s in singles) / n
+        assert np.max(np.abs(g - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300), name
+
+
+def _feasible(model, utt):
+    try:
+        check_feasible(-(-len(utt.audio) // model.cfg.encoder.subsample_factor), utt.ref)
+    except FeasibilityError:
+        return False
+    return True
+
+
+def test_padded_positions_get_exactly_zero_gradient():
+    model = _subsampling_model(seed=5)
+    rng = np.random.default_rng(8)
+    raw = np.array([9, 4, 7])  # subsampled to 5, 2 and 4 frames
+    frames = Tensor(rng.standard_normal((3, 9, 4)) * (np.arange(9) < raw[:, None])[..., None])
+    feats = encode_audio(frames, model.cfg.encoder, model.encoder, raw)
+    assert feats.t_len == 5 and feats.lengths.tolist() == [5, 2, 4]
+    labels = [[1, 2], [3], [4, 5, 6]]
+    tn.sum_all(ctc_loss(ctc_head(feats, model.ctc_w), labels, feats.lengths)).backward()
+    for b, n in enumerate(raw):
+        assert np.array_equal(frames.grad[b, n:], np.zeros((9 - n, 4)))
+        assert np.any(frames.grad[b, :n] != 0.0)
+
+    dec = model.cfg.decoder
+    audio = AudioFeatures(Tensor(rng.standard_normal((3, 5, 4))), 5, np.array([5, 2, 4]))
+    visual = VisualFeatures(Tensor(rng.standard_normal((3, 3, 4))), 3, np.array([3, 0, 1]))
+    for block in model.decoder.blocks:
+        block.cross.visual_branch.w_o.data[:] = rng.standard_normal((4, 4))
+    targets_in = np.array([[dec.bos_id, 1, 2], [dec.bos_id, 3, 0], [dec.bos_id, 0, 0]])
+    targets_out = np.array([[1, 2, dec.eos_id], [3, dec.eos_id, 0], [dec.eos_id, 0, 0]])
+    n_in = np.array([3, 2, 1])
+    logits = decoder_forward(targets_in, audio, visual, dec, model.decoder, lengths=n_in)
+    label_smoothed_ce(logits, targets_out, 0.1, n_in).backward()
+    assert np.array_equal(audio.frames.grad[1, 2:], np.zeros((3, 4)))
+    assert np.array_equal(audio.frames.grad[2, 4:], np.zeros((1, 4)))
+    assert np.array_equal(visual.frames.grad[1], np.zeros((3, 4)))  # no visual text
+    assert np.array_equal(visual.frames.grad[2, 1:], np.zeros((2, 4)))
+    assert np.any(visual.frames.grad[0] != 0.0) and np.any(audio.frames.grad[1, :2] != 0.0)
