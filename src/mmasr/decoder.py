@@ -140,7 +140,7 @@ def dual_cross_attention(q, t_feats, i_feats, params):
     head_i = attention(q, i_feats.frames, i_feats.frames, params.visual_branch,
                        mask=key_mask(lengths, i_feats.i_len))
     if lengths is not None and lengths.min() == 0:
-        head_i = tn.mul(head_i, Tensor((lengths > 0).astype(np.float64)[:, None, None]))
+        head_i = tn.mul(head_i, (lengths > 0).astype(np.float64)[:, None, None])
     return tn.add(head_t, head_i)
 
 

@@ -158,9 +158,9 @@ def encode_audio(frames, cfg, params, lengths=None):
     """Project, subsample by strided mean pooling, add positions, run the stack.
 
     ``frames`` is one utterance [raw_len x d_in], or a batch zero-padded to
-    [B x raw_len x d_in] with each row's raw frame count in ``lengths``.
+    [B x raw_len x d_in] with each row's raw frame count in ``lengths``;
+    as a numpy array it is a constant, as a Tensor it gets a gradient.
     """
-    frames = tn.as_tensor(frames)
     factor = cfg.subsample_factor
     shortest = frames.shape[-2] if lengths is None else int(np.min(lengths))
     if shortest < factor:
@@ -173,11 +173,11 @@ def encode_audio(frames, cfg, params, lengths=None):
     t_len = h.shape[-2]
     if lengths is not None:
         lengths = -(-np.asarray(lengths, dtype=np.int64) // factor)
-    h = tn.add(h, Tensor(sinusoidal_positions(t_len, cfg.d_model)))
+    h = tn.add(h, sinusoidal_positions(t_len, cfg.d_model))
     mask = key_mask(lengths, t_len)
     frame_mask = None
     if mask is not None:
-        frame_mask = Tensor(np.swapaxes(mask.allowed, -1, -2).astype(np.float64))
+        frame_mask = np.swapaxes(mask.allowed, -1, -2).astype(np.float64)
     for block in params.blocks:
         h = encoder_block(h, block, mask, frame_mask)
     return AudioFeatures(frames=h, t_len=t_len, lengths=lengths)

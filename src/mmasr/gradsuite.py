@@ -19,6 +19,7 @@ from .encoder import (
     init_encoder_params,
 )
 from .layers import (
+    Mask,
     attention,
     conv_module,
     feed_forward,
@@ -77,6 +78,23 @@ def check_attention(rng, eps):
     errs = [tn.grad_check(lambda t: reduce(attention(t, k, v, params)), q, eps)]
     for p in (params.w_q, params.w_k, params.w_v, params.w_o):
         errs.append(param_grad_check(lambda: reduce(attention(q, k, v, params)), p, eps))
+    return max(errs)
+
+
+def check_self_attention(rng, eps):
+    """One tensor as q, k and v, so that the three input-gradient terms of
+    self-attention are checked together: 2-D with a causal mask, and a
+    batch of two rows with key padding."""
+    d = 4
+    params = init_attention_params(d, int(rng.choice([1, 2, 4])), rng)
+    errs = []
+    for shape, mask in (((3, d), Mask.causal(3)), ((2, 3, d), Mask.keys([3, 2], 3))):
+        x = _rand(rng, *shape)
+        reduce = _weighted_sum(attention(x, x, x, params, mask), rng)
+        errs.append(tn.grad_check(lambda t: reduce(attention(t, t, t, params, mask)), x, eps))
+        for p in (params.w_q, params.w_k, params.w_v):
+            errs.append(param_grad_check(
+                lambda: reduce(attention(x, x, x, params, mask)), p, eps))
     return max(errs)
 
 
@@ -261,6 +279,7 @@ CHECKS = {
     "ctc_loss": check_ctc_loss,
     "train_loss": check_train_loss,
     "padded_train_loss": check_padded_train_loss,
+    "self_attention": check_self_attention,
 }
 
 # Heavier whole-stack checks run fewer random configs than single layers.

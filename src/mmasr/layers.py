@@ -4,7 +4,6 @@ depthwise convolution module, and token embedding with sinusoidal positions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -90,14 +89,6 @@ def init_attention_params(d_model, n_heads, rng):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _head_axes(n_lead):
-    """Permutations of [..., L x h x d_k] after ``n_lead`` leading axes:
-    (L, h) swapped, its own inverse, and [..., h x d_k x L]."""
-    lead = tuple(range(n_lead))
-    return lead + (n_lead + 1, n_lead, n_lead + 2), lead + (n_lead + 1, n_lead + 2, n_lead)
-
-
 def attention(q, k, v, params, mask=None):
     """Multi-head scaled dot-product attention with projected q/k/v.
 
@@ -130,24 +121,8 @@ def attention(q, k, v, params, mask=None):
         penalty = np.where(mask.allowed, 0.0, MASK_PENALTY)
         if penalty.ndim > 2:
             penalty = penalty[..., None, :, :]  # the same for every head
-        penalty = Tensor(penalty)
-
-    h, d_k = params.n_heads, params.d_k
-    swap, to_keys = _head_axes(len(lead))
-
-    def split_heads(x, w, axes):
-        # [..., L x d_model] -> [..., L x h x d_k], then permuted by ``axes``
-        return tn.transpose(tn.reshape(tn.matmul(x, w), x.shape[:-1] + (h, d_k)), axes)
-
-    qh = split_heads(q, params.w_q, swap)  # [..., h x L_q x d_k]
-    kh = split_heads(k, params.w_k, to_keys)  # [..., h x d_k x L_k]
-    vh = split_heads(v, params.w_v, swap)  # [..., h x L_k x d_k]
-    scores = tn.scale(tn.matmul(qh, kh), 1.0 / math.sqrt(d_k))
-    if penalty is not None:
-        scores = tn.add(scores, penalty)
-    heads = tn.matmul(tn.softmax_rows(scores), vh)  # [..., h x L_q x d_k]
-    merged = tn.reshape(tn.transpose(heads, swap), lead + (L_q, d_model))
-    return tn.matmul(merged, params.w_o)
+    weights = (params.w_q, params.w_k, params.w_v, params.w_o)
+    return tn.attention(q, k, v, weights, params.n_heads, penalty)
 
 
 def _broadcasts(shape, target):
@@ -162,12 +137,12 @@ def layer_norm(x, gamma, beta, eps=LAYER_NORM_EPS):
     d = x.shape[-1]
     if gamma.shape != (d,) and gamma.shape != (1, d):
         raise ShapeError(f"gamma shape {gamma.shape} does not match d={d}")
-    return tn.add(tn.mul(tn.normalize_rows(x, eps), gamma), beta)
+    return tn.layer_norm(x, gamma, beta, eps)
 
 
-def feed_forward(x, w1, w2, act=tn.relu):
-    """Position-wise two-layer network; residual is the caller's job."""
-    return tn.matmul(act(tn.matmul(x, w1)), w2)
+def feed_forward(x, w1, w2):
+    """Position-wise two-layer ReLU network; residual is the caller's job."""
+    return tn.feed_forward(x, w1, w2)
 
 
 def depthwise_conv(x, kernel):
@@ -217,4 +192,4 @@ def embed(tokens, table):
         bad = tokens[(tokens < 0) | (tokens >= V)][0]
         raise VocabError(f"token id {bad} outside vocabulary of size {V}")
     looked = tn.gather_rows(table, tokens)
-    return tn.add(looked, Tensor(sinusoidal_positions(tokens.shape[-1], d)))
+    return tn.add(looked, sinusoidal_positions(tokens.shape[-1], d))

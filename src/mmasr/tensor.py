@@ -8,6 +8,8 @@ is bit-reproducible across runs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
@@ -76,19 +78,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
-    # Convenience arithmetic; the named functions below do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def _topo_order(root):
     """Iterative post-order DFS; recursion would blow the stack on long chains."""
@@ -122,9 +111,12 @@ def _register(out, backward):
 
 
 def _accum(t, g):
+    # The first gradient is stored as a copy: ``g`` may be shared (add passes
+    # one array to both operands) or read again by the caller.
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -137,25 +129,41 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _value(x):
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _inputs(*xs):
+    """The Tensors among ``xs``; any other operand is a constant."""
+    return [x for x in xs if isinstance(x, Tensor)]
+
+
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, (a, b))
+    """a + b, broadcasting. An operand that is not a Tensor (a numpy array or
+    a number) is a constant: it is not recorded and gets no gradient."""
+    ad, bd = _value(a), _value(b)
+    out = Tensor(ad + bd, _inputs(a, b))
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(g, ad.shape))
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(g, bd.shape))
 
     _register(out, backward)
     return out
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, (a, b))
+    """a * b, broadcasting; a non-Tensor operand is a constant, as in add."""
+    ad, bd = _value(a), _value(b)
+    out = Tensor(ad * bd, _inputs(a, b))
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(g * bd, ad.shape))
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(g * ad, bd.shape))
 
     _register(out, backward)
     return out
@@ -178,10 +186,10 @@ def matmul(a, b):
 
     When ``b`` is a 2-D weight, the rows of ``a`` over all its leading axes
     form one [N x k] operand, so forward and the weight gradient are one
-    GEMM each rather than a stack of them plus a sum over the stack.
+    GEMM each rather than a stack of them plus a sum over the stack. A
+    non-Tensor operand is a constant, as in add.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
+    ad, bd = _value(a), _value(b)
     try:
         if ad.ndim < 2 or bd.ndim < 2:
             raise ValueError("matmul operands need at least two axes")
@@ -193,29 +201,20 @@ def matmul(a, b):
             y = ad @ bd
     except ValueError:
         raise ShapeError(f"matmul shapes do not conform: {ad.shape} x {bd.shape}") from None
-    out = Tensor(y, (a, b))
+    out = Tensor(y, _inputs(a, b))
 
     def backward(g):
         if flat:
             g_rows = g.reshape(-1, g.shape[-1])
-            _accum(a, (g_rows @ bd.T).reshape(ad.shape))
-            _accum(b, rows.T @ g_rows)
-        else:
+            if isinstance(a, Tensor):
+                _accum(a, (g_rows @ bd.T).reshape(ad.shape))
+            if isinstance(b, Tensor):
+                _accum(b, rows.T @ g_rows)
+            return
+        if isinstance(a, Tensor):
             _accum(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+        if isinstance(b, Tensor):
             _accum(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
-
-    _register(out, backward)
-    return out
-
-
-def transpose(a, axes=None):
-    """Axis permutation as np.transpose; ``axes=None`` reverses the axes."""
-    a = as_tensor(a)
-    out = Tensor(np.transpose(a.data, axes), (a,))
-    inverse = None if axes is None else np.argsort(axes)
-
-    def backward(g):
-        _accum(a, np.transpose(g, inverse))
 
     _register(out, backward)
     return out
@@ -232,17 +231,6 @@ def sum_all(a):
     return out
 
 
-def relu(a):
-    a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), (a,))
-
-    def backward(g):
-        _accum(a, g * (a.data > 0.0))
-
-    _register(out, backward)
-    return out
-
-
 def silu(a):
     a = as_tensor(a)
     sig = 1.0 / (1.0 + np.exp(-a.data))
@@ -250,22 +238,6 @@ def silu(a):
 
     def backward(g):
         _accum(a, g * (sig + a.data * sig * (1.0 - sig)))
-
-    _register(out, backward)
-    return out
-
-
-def softmax_rows(x):
-    """Row-wise softmax with per-row max subtraction for stability."""
-    x = as_tensor(x)
-    x.check_finite("softmax input")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, (x,))
-
-    def backward(g):
-        _accum(x, (g - (g * y).sum(axis=-1, keepdims=True)) * y)
 
     _register(out, backward)
     return out
@@ -286,21 +258,114 @@ def log_softmax_rows(x):
     return out
 
 
-def normalize_rows(x, eps):
-    """(x - mean) / sqrt(var + eps) over the last axis, as one node.
+def attention(q, k, v, weights, n_heads, penalty=None):
+    """Multi-head scaled dot-product attention (Vaswani et al. 2017) as one node.
 
-    Backward is the closed form of layer normalization (Ba et al. 2016):
-    dx = (g - mean(g) - y * mean(g * y)) / sqrt(var + eps).
+    ``q`` is [..., L_q x d] and ``k``, ``v`` are [..., L_k x d] with the same
+    leading axes; ``weights`` are the [d x d] projections (w_q, w_k, w_v,
+    w_o), head j owning columns j*d_k to (j+1)*d_k of w_q, w_k and w_v.
+    ``penalty`` is a constant broadcastable to [..., h x L_q x L_k], added
+    to the scaled scores before the softmax. When ``q is k is v`` the three
+    input projections are one GEMM against the weights side by side, and
+    so are their backward products.
     """
-    x = as_tensor(x)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    y = centered * inv_std
-    out = Tensor(y, (x,))
+    w_q, w_k, w_v, w_o = weights
+    lead, (L_q, d), L_k = q.data.shape[:-2], q.data.shape[-2:], k.data.shape[-2]
+    d_k = d // n_heads
+    c = 1.0 / math.sqrt(d_k)
+    # [..., L x h x d_k] permuted: (L, h) swapped, its own inverse; to
+    # [..., h x d_k x L]; and back from that.
+    n, ax = len(lead), tuple(range(len(lead)))
+    swap, to_keys, from_keys = (ax + (n + 1, n, n + 2), ax + (n + 1, n + 2, n),
+                                ax + (n + 2, n, n + 1))
+    fused = q is k and k is v
+    rows = [x.data.reshape(-1, d) for x in (q, k, v)]
+    if fused:
+        w_qkv = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)
+        proj = rows[0] @ w_qkv
+        projected = proj[:, :d], proj[:, d : 2 * d], proj[:, 2 * d :]
+    else:
+        projected = [r @ w.data for r, w in zip(rows, (w_q, w_k, w_v))]
+    qh, kh, vh = (np.transpose(p.reshape(lead + (n, n_heads, d_k)), axes)
+                  for p, n, axes in zip(projected, (L_q, L_k, L_k), (swap, to_keys, swap)))
+    probs = np.matmul(qh, kh)  # [..., h x L_q x L_k]
+    probs *= c
+    if penalty is not None:
+        probs += penalty
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("softmax input contains non-finite values")
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    merged = np.transpose(np.matmul(probs, vh), swap).reshape(-1, d)  # [N x d]
+    out = Tensor((merged @ w_o.data).reshape(lead + (L_q, d)), (q, k, v) + tuple(weights))
 
     def backward(g):
-        _accum(x, inv_std * (g - g.mean(axis=-1, keepdims=True)
-                             - y * (g * y).mean(axis=-1, keepdims=True)))
+        g_rows = g.reshape(-1, d)
+        _accum(w_o, merged.T @ g_rows)
+        g_heads = np.transpose((g_rows @ w_o.data.T).reshape(lead + (L_q, n_heads, d_k)), swap)
+        g_probs = g_heads @ np.swapaxes(vh, -1, -2)
+        g_vh = np.swapaxes(probs, -1, -2) @ g_heads
+        g_scores = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs
+        g_scores *= c
+        g_qh = g_scores @ np.swapaxes(kh, -1, -2)
+        g_kh = np.swapaxes(qh, -1, -2) @ g_scores
+        g_projected = [np.transpose(gh, axes).reshape(-1, d)
+                       for gh, axes in ((g_qh, swap), (g_kh, from_keys), (g_vh, swap))]
+        if fused:
+            g_proj = np.concatenate(g_projected, axis=1)
+            _accum(q, (g_proj @ w_qkv.T).reshape(q.data.shape))
+            for w, g_w in zip((w_q, w_k, w_v), np.split(rows[0].T @ g_proj, 3, axis=1)):
+                _accum(w, g_w)
+            return
+        for x, r, w, g_p in zip((q, k, v), rows, (w_q, w_k, w_v), g_projected):
+            _accum(x, (g_p @ w.data.T).reshape(x.data.shape))
+            _accum(w, r.T @ g_p)
+
+    _register(out, backward)
+    return out
+
+
+def layer_norm(x, gamma, beta, eps):
+    """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis, as one node.
+
+    Backward is the closed form of layer normalization (Ba et al. 2016):
+    with y the normalized x and gy = g * gamma,
+    dx = (gy - mean(gy) - y * mean(gy * y)) / sqrt(var + eps).
+    """
+    xd = x.data
+    d = xd.shape[-1]
+    centered = xd - xd.sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + eps)
+    y = centered * inv_std
+    out = Tensor(y * gamma.data + beta.data, (x, gamma, beta))
+
+    def backward(g):
+        _accum(beta, _unbroadcast(g, beta.data.shape))
+        _accum(gamma, _unbroadcast(g * y, gamma.data.shape))
+        gy = g * gamma.data
+        _accum(x, inv_std * (gy - gy.sum(axis=-1, keepdims=True) / d
+                             - y * ((gy * y).sum(axis=-1, keepdims=True) / d)))
+
+    _register(out, backward)
+    return out
+
+
+def feed_forward(x, w1, w2):
+    """relu(x @ w1) @ w2 over the last axis, as one node."""
+    xd = x.data
+    rows = xd.reshape(-1, xd.shape[-1])
+    pre = rows @ w1.data
+    hidden = np.maximum(pre, 0.0)
+    out = Tensor((hidden @ w2.data).reshape(xd.shape[:-1] + (w2.data.shape[1],)),
+                 (x, w1, w2))
+
+    def backward(g):
+        g_rows = g.reshape(-1, g.shape[-1])
+        _accum(w2, hidden.T @ g_rows)
+        g_pre = (g_rows @ w2.data.T) * (pre > 0.0)
+        _accum(w1, rows.T @ g_pre)
+        _accum(x, (g_pre @ w1.data.T).reshape(xd.shape))
 
     _register(out, backward)
     return out
@@ -345,17 +410,6 @@ def gather_rows(table, ids):
         full = np.zeros_like(table.data)
         np.add.at(full, ids, g)
         _accum(table, full)
-
-    _register(out, backward)
-    return out
-
-
-def reshape(a, shape):
-    a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), (a,))
-
-    def backward(g):
-        _accum(a, g.reshape(a.data.shape))
 
     _register(out, backward)
     return out

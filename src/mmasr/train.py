@@ -28,6 +28,7 @@ from .errors import (
     CheckpointVersionError,
     ConfigError,
     FeasibilityError,
+    NumericError,
     RecipeError,
 )
 from .layers import pad_batch
@@ -89,6 +90,7 @@ class Adam:
         self.warmup = warmup
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = t
+        self.grad_norm = math.nan  # of the gradients of the last step
         self.m = {n: np.zeros_like(params[n].data) for n in self.trainable}
         self.v = {n: np.zeros_like(params[n].data) for n in self.trainable}
 
@@ -98,6 +100,22 @@ class Adam:
         return self.peak_lr * min(1.0, 1.0 / math.sqrt(t))
 
     def step(self):
+        """Update every trainable parameter; returns the learning rate.
+
+        A non-finite gradient raises NumericError naming its parameter, and
+        leaves the parameters, the moments and ``t`` as they were. The
+        gradients' global L2 norm is kept in ``grad_norm``.
+        """
+        squares = 0.0
+        for name in self.trainable:
+            g = self.params[name].grad
+            if g is None:
+                continue
+            sq = float(np.vdot(g, g))
+            if not math.isfinite(sq):
+                raise NumericError(f"gradient of {name} is not finite (sum of squares {sq})")
+            squares += sq
+        self.grad_norm = math.sqrt(squares)
         self.t += 1
         lr = self.lr(self.t)
         bc1 = 1.0 - self.beta1**self.t
@@ -152,7 +170,7 @@ def label_smoothed_ce(logits, targets, smoothing, lengths=None):
     weights = np.full(rows.shape + (vocab,), smoothing / vocab)
     np.put_along_axis(weights, rows[..., None], 1.0 - smoothing + smoothing / vocab, -1)
     weights *= -per_position[..., None]
-    picked = tn.mul(tn.log_softmax_rows(logits), tn.Tensor(weights.reshape(logits.shape)))
+    picked = tn.mul(tn.log_softmax_rows(logits), weights.reshape(logits.shape))
     return tn.sum_all(picked)
 
 
@@ -195,24 +213,28 @@ def utterance_losses(model, batch, use_visual_flags, cfg):
 
 def train_step(model, batch, cfg, opt, use_visual_flags=None):
     """One optimizer update on a batch, from one graph. Infeasible
-    utterances are skipped (counted, never fatal). Returns the loss report
-    for the step."""
+    utterances are skipped (counted, never fatal); a non-finite loss or
+    gradient raises NumericError before any parameter changes. Returns the
+    loss report for the step."""
     if not batch:
         raise ConfigError("empty batch")
     if use_visual_flags is None:
         use_visual_flags = [cfg.stage == "fusion"] * len(batch)
     mean_ctc, mean_att, skipped = utterance_losses(model, batch, use_visual_flags, cfg)
     if mean_ctc is None:
-        return {"loss_total": math.nan, "loss_ctc": math.nan,
-                "loss_att": math.nan, "lr": opt.lr(opt.t + 1), "skipped": skipped}
+        return {"loss_total": math.nan, "loss_ctc": math.nan, "loss_att": math.nan,
+                "lr": opt.lr(opt.t + 1), "skipped": skipped, "grad_norm": math.nan}
     total = tn.add(tn.scale(mean_ctc, cfg.lambda_ctc),
                    tn.scale(mean_att, 1.0 - cfg.lambda_ctc))
+    if not math.isfinite(total.item()):
+        raise NumericError(f"training loss is not finite: {total.item()}")
     opt.zero_grad()
     total.backward()
     lr = opt.step()
     opt.zero_grad()
     return {"loss_total": total.item(), "loss_ctc": mean_ctc.item(),
-            "loss_att": mean_att.item(), "lr": lr, "skipped": skipped}
+            "loss_att": mean_att.item(), "lr": lr, "skipped": skipped,
+            "grad_norm": opt.grad_norm}
 
 
 def decode_utterance(model, utt, use_visual, beam=4, max_len=None):

@@ -107,7 +107,79 @@ def test_attention_node_count_does_not_depend_on_heads():
     x = Tensor(RNG.standard_normal((4, d)))
     counts = {_graph_nodes(attention(x, x, x, _params(d, heads), mask=Mask.causal(4)))
               for heads in (1, 2, 4)}
-    assert len(counts) == 1
+    assert counts == {1}
+
+
+def np_attention_and_grads(q, k, v, p, g, allowed=None):
+    """Output of attention and the gradients of sum(out * g) in q, k, v and
+    (w_q, w_k, w_v, w_o), one batch row and one head at a time, with the
+    softmax backward as its explicit Jacobian diag(s) - s s^T per row."""
+    w_q, w_k, w_v, w_o = (w.data for w in (p.w_q, p.w_k, p.w_v, p.w_o))
+    d, d_k = w_q.shape[0], p.d_k
+    lead = q.shape[:-2]
+    qs, ks, vs, gs = (a.reshape((-1,) + a.shape[-2:]) for a in (q, k, v, g))
+    if allowed is not None:
+        allowed = np.broadcast_to(allowed, lead + (q.shape[-2], k.shape[-2]))
+        allowed = allowed.reshape((-1,) + allowed.shape[-2:])
+    out, g_q, g_k, g_v = (np.zeros_like(a) for a in (qs, qs, ks, vs))
+    g_w = [np.zeros((d, d)) for _ in range(4)]
+    for b in range(len(qs)):
+        qp, kp, vp = qs[b] @ w_q, ks[b] @ w_k, vs[b] @ w_v
+        merged, probs = np.zeros_like(qp), []
+        for h in range(p.n_heads):
+            cols = slice(h * d_k, (h + 1) * d_k)
+            scores = qp[:, cols] @ kp[:, cols].T / np.sqrt(d_k)
+            if allowed is not None:
+                scores = scores + np.where(allowed[b], 0.0, -1e9)
+            probs.append(np_softmax(scores))
+            merged[:, cols] = probs[h] @ vp[:, cols]
+        out[b] = merged @ w_o
+        g_w[3] += merged.T @ gs[b]
+        g_merged = gs[b] @ w_o.T
+        g_qp, g_kp, g_vp = np.zeros_like(qp), np.zeros_like(kp), np.zeros_like(vp)
+        for h in range(p.n_heads):
+            cols = slice(h * d_k, (h + 1) * d_k)
+            g_probs = g_merged[:, cols] @ vp[:, cols].T
+            g_vp[:, cols] = probs[h].T @ g_merged[:, cols]
+            g_scores = np.stack([(np.diag(s) - np.outer(s, s)) @ row
+                                 for s, row in zip(probs[h], g_probs)]) / np.sqrt(d_k)
+            g_qp[:, cols] = g_scores @ kp[:, cols]
+            g_kp[:, cols] = g_scores.T @ qp[:, cols]
+        for x, gx, g_proj, w, gw in ((qs, g_q, g_qp, w_q, g_w[0]), (ks, g_k, g_kp, w_k, g_w[1]),
+                                     (vs, g_v, g_vp, w_v, g_w[2])):
+            gx[b] = g_proj @ w.T
+            gw += x[b].T @ g_proj
+    return [a.reshape(shape) for a, shape in
+            ((out, q.shape), (g_q, q.shape), (g_k, k.shape), (g_v, v.shape))] + g_w
+
+
+def test_fused_attention_matches_per_head_oracle_in_values_and_grads():
+    d = 8
+    for heads in (1, 2, 4):
+        p = _params(d, heads)
+        weights = (p.w_q, p.w_k, p.w_v, p.w_o)
+        for shape in ((5, d), (3, 5, d)):
+            x, g = RNG.standard_normal(shape), RNG.standard_normal(shape)
+            keys = Mask.causal(5) if len(shape) == 2 else Mask(
+                Mask.causal(5).allowed & Mask.keys([5, 3, 1], 5).allowed)
+            for mask in (None, keys):
+                allowed = None if mask is None else mask.allowed
+                want = np_attention_and_grads(x, x, x, p, g, allowed)
+                # one tensor as q, k and v, then three tensors with its values
+                for inputs in ([Tensor(x)] * 3, [Tensor(x.copy()) for _ in range(3)]):
+                    for w in weights:
+                        w.grad = None
+                    out = attention(*inputs, p, mask=mask)
+                    tn.sum_all(tn.mul(out, g)).backward()
+                    assert np.max(np.abs(out.data - want[0])) < 1e-12
+                    if inputs[0] is inputs[1]:
+                        got_inputs = [inputs[0].grad]
+                        want_inputs = [want[1] + want[2] + want[3]]
+                    else:
+                        got_inputs, want_inputs = [t.grad for t in inputs], want[1:4]
+                    for got, expected in zip(got_inputs + [w.grad for w in weights],
+                                             want_inputs + want[4:]):
+                        assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_attention_output_in_value_convex_hull():

@@ -19,6 +19,7 @@ from mmasr.errors import (
     CheckpointVersionError,
     ConfigError,
     FeasibilityError,
+    NumericError,
     RecipeError,
 )
 from mmasr.model import Model, ModelConfig, make_decoder_config
@@ -482,3 +483,47 @@ def test_padded_positions_get_exactly_zero_gradient():
     assert np.array_equal(visual.frames.grad[1], np.zeros((3, 4)))  # no visual text
     assert np.array_equal(visual.frames.grad[2, 1:], np.zeros((2, 4)))
     assert np.any(visual.frames.grad[0] != 0.0) and np.any(audio.frames.grad[1, :2] != 0.0)
+
+
+def test_training_graph_size():
+    """Nodes with a backward in one training loss, at criterion 6's block
+    counts (2 encoder and 2 decoder blocks). The bounds are ceilings, not
+    exact counts. In stage 1, with the audio a numpy constant, every leaf of
+    the graph is a parameter: no constant is recorded."""
+    enc = EncoderConfig(n_blocks=2, n_heads=2, d_model=4, d_ff=6, conv_width=3,
+                        subsample_factor=2)
+    dec = make_decoder_config(6, 3, n_blocks=2, n_heads=2, d_model=4, d_ff=6)
+    model = Model.init(ModelConfig(d_in=4, v_content=6, n_background=3,
+                                   encoder=enc, decoder=dec), 0)
+    _, splits = gen_corpus(MICRO_CORPUS)
+    batch = [u for u in splits["train"] if _feasible(model, u)][:4]
+    params = {id(p) for p in model.named_parameters().values()}
+    for cfg, ceiling in ((TrainConfig(stage="audio_only"), 100),
+                         (TrainConfig(stage="fusion", freeze_encoder=True), 60)):
+        flags = [cfg.stage == "fusion"] * len(batch)
+        l_ctc, l_att, skipped = utterance_losses(model, batch, flags, cfg)
+        assert skipped == 0
+        order = tn._topo_order(tn.add(tn.scale(l_ctc, cfg.lambda_ctc),
+                                      tn.scale(l_att, 1.0 - cfg.lambda_ctc)))
+        assert sum(node._backward is not None for node in order) <= ceiling, cfg.stage
+        if cfg.stage == "audio_only":
+            assert all(id(node) in params for node in order if node._backward is None)
+
+
+def test_adam_refuses_a_non_finite_gradient():
+    _, splits = gen_corpus(MICRO_CORPUS)
+    model = micro_model(seed=2)
+    cfg = TrainConfig(stage="audio_only")
+    opt = Adam(model.named_parameters(), trainable_names(model, cfg), cfg.peak_lr, cfg.warmup)
+    report = train_step(model, splits["train"][:4], cfg, opt)
+    assert np.isfinite(report["grad_norm"]) and report["grad_norm"] > 0.0
+    before = (model_bytes(model), {n: m.tobytes() for n, m in opt.m.items()},
+              {n: v.tobytes() for n, v in opt.v.items()}, opt.t)
+    params = model.named_parameters()
+    for name in opt.trainable:
+        params[name].grad = np.ones_like(params[name].data)
+    params["decoder.out_w"].grad[1, 2] = np.nan
+    with pytest.raises(NumericError, match="decoder.out_w"):
+        opt.step()
+    assert (model_bytes(model), {n: m.tobytes() for n, m in opt.m.items()},
+            {n: v.tobytes() for n, v in opt.v.items()}, opt.t) == before
