@@ -41,6 +41,7 @@ from .train import (
     TrainConfig,
     decode_utterance,
     load_checkpoint,
+    metrics_path,
     run_stage,
     save_checkpoint,
 )
@@ -142,8 +143,9 @@ def cmd_train(args):
         model, _, _, _ = load_checkpoint(args.stage1_ckpt)
         model.reinit_fusion(cfg.seed)
         ckpt, log = os.path.join(args.out, "stage2.ckpt"), os.path.join(args.out, "stage2.log")
-    if os.path.exists(log):
-        os.remove(log)
+    for path in (log, metrics_path(log)):
+        if os.path.exists(path):
+            os.remove(path)
     opt, rng, _ = run_stage(model, splits["train"], cfg, log_path=log,
                             valid_utts=splits.get("valid"))
     save_checkpoint(ckpt, model, opt, cfg.max_steps, rng)

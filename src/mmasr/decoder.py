@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tn
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_int
 from .layers import (
     AttentionParams,
     Mask,
@@ -44,10 +44,10 @@ class DecoderConfig:
     vocab_size: int = 0  # shared text vocab plus BOS and EOS
 
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ConfigError("decoder needs at least one block")
-        if self.vocab_size < 3:
-            raise ConfigError("vocab_size must cover at least one token plus BOS/EOS")
+        for name in ("n_blocks", "n_heads", "d_model", "d_ff"):
+            check_int(f"decoder {name}", getattr(self, name), 1)
+        # at least one token plus BOS and EOS
+        check_int("decoder vocab_size", self.vocab_size, 3)
 
     @property
     def bos_id(self):

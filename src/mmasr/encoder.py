@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tn
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_int
 from .layers import (
     AttentionParams,
     attention,
@@ -36,8 +36,9 @@ class EncoderConfig:
     subsample_factor: int = 2
 
     def __post_init__(self):
-        if self.n_blocks < 0:
-            raise ConfigError("n_blocks must be >= 0")
+        check_int("encoder n_blocks", self.n_blocks, 0)
+        for name in ("n_heads", "d_model", "d_ff", "conv_width", "subsample_factor"):
+            check_int(f"encoder {name}", getattr(self, name), 1)
         if self.subsample_factor not in (1, 2, 4):
             raise ConfigError(f"subsample_factor must be 1, 2 or 4, got {self.subsample_factor}")
         if self.conv_width % 2 == 0:
@@ -46,7 +47,8 @@ class EncoderConfig:
 
 @dataclass
 class AudioFeatures:
-    frames: Tensor  # [t_len x d_model], or a padded batch [B x t_len x d_model]
+    frames: Tensor  # [t_len x d_model], or a padded batch [B x t_len x d_model];
+    # a numpy array when the encoder is frozen (a constant for the decoder)
     t_len: int
     lengths: np.ndarray = None  # valid frames of each batch row; None: all t_len
 

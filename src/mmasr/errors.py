@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: config/data problems exit 2,
 numeric/runtime problems exit 3.
 """
 
+import numbers
+
 
 class MmasrError(Exception):
     pass
@@ -65,3 +67,10 @@ class CheckpointShapeError(CheckpointError):
 
 class RecipeError(MmasrError):
     """Training-recipe misuse (e.g. fusion stage without a stage-1 checkpoint)."""
+
+
+def check_int(what, value, minimum):
+    """Raise ConfigError unless ``value`` is an integer (not a bool) of at
+    least ``minimum``; configs arrive from JSON files."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")

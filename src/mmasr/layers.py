@@ -96,14 +96,14 @@ def attention(q, k, v, params, mask=None):
     with the same leading axes. Masked positions get an additive -1e9
     penalty before the softmax; ``mask.allowed`` broadcasts to
     [..., L_q x L_k], and a query row with no visible key is a contract
-    violation.
+    violation. ``k`` and ``v`` may be numpy constants.
     """
-    q_shape, k_shape = q.data.shape, k.data.shape
+    q_shape, k_shape = q.shape, k.shape
     lead, (L_q, d_model), L_k = q_shape[:-2], q_shape[-2:], k_shape[-2]
-    if d_model != params.d_model or k_shape[-1] != d_model or v.data.shape != k_shape:
+    if d_model != params.d_model or k_shape[-1] != d_model or v.shape != k_shape:
         raise ShapeError(
             f"attention shapes do not match: q {q_shape}, k {k_shape}, "
-            f"v {v.data.shape}, params d_model {params.d_model}"
+            f"v {v.shape}, params d_model {params.d_model}"
         )
     if k_shape[:-2] != lead:
         raise ShapeError(f"q and k leading axes differ: {q_shape} vs {k_shape}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .decoder import DecoderConfig, DecoderParams, init_attention_params, init_decoder_params
 from .encoder import EncoderConfig, EncoderParams, init_encoder_params
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .tensor import Tensor
 from .visual import VisualEncoderParams, init_visual_params
 
@@ -38,6 +38,9 @@ class ModelConfig:
         return self.v_content + 1
 
     def __post_init__(self):
+        check_int("d_in", self.d_in, 1)
+        check_int("v_content", self.v_content, 1)
+        check_int("n_background", self.n_background, 0)
         expected = self.text_vocab_size + 2
         if self.decoder.vocab_size != expected:
             raise ConfigError(
@@ -56,10 +59,15 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, d):
+        """The inverse of ``to_json``: every field must be present."""
+        for key, sub in (("encoder", EncoderConfig), ("decoder", DecoderConfig)):
+            missing = {f.name for f in dataclasses.fields(sub)} - set(d[key])
+            if missing:
+                raise KeyError(f"{key} config lacks {sorted(missing)}")
         return cls(
-            d_in=int(d["d_in"]),
-            v_content=int(d["v_content"]),
-            n_background=int(d["n_background"]),
+            d_in=d["d_in"],
+            v_content=d["v_content"],
+            n_background=d["n_background"],
             encoder=EncoderConfig(**d["encoder"]),
             decoder=DecoderConfig(**d["decoder"]),
         )

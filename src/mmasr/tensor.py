@@ -170,12 +170,13 @@ def mul(a, b):
 
 
 def scale(a, c):
-    a = as_tensor(a)
+    """a * c for a number c; a non-Tensor ``a`` is a constant, as in add."""
     c = float(c)
-    out = Tensor(a.data * c, (a,))
+    out = Tensor(_value(a) * c, _inputs(a))
 
     def backward(g):
-        _accum(a, g * c)
+        if isinstance(a, Tensor):
+            _accum(a, g * c)
 
     _register(out, backward)
     return out
@@ -267,10 +268,12 @@ def attention(q, k, v, weights, n_heads, penalty=None):
     ``penalty`` is a constant broadcastable to [..., h x L_q x L_k], added
     to the scaled scores before the softmax. When ``q is k is v`` the three
     input projections are one GEMM against the weights side by side, and
-    so are their backward products.
+    so are their backward products. A ``k`` or ``v`` that is not a Tensor
+    is a constant, as in add: no input gradient is computed for it.
     """
     w_q, w_k, w_v, w_o = weights
-    lead, (L_q, d), L_k = q.data.shape[:-2], q.data.shape[-2:], k.data.shape[-2]
+    kd, vd = _value(k), _value(v)
+    lead, (L_q, d), L_k = q.data.shape[:-2], q.data.shape[-2:], kd.shape[-2]
     d_k = d // n_heads
     c = 1.0 / math.sqrt(d_k)
     # [..., L x h x d_k] permuted: (L, h) swapped, its own inverse; to
@@ -279,7 +282,7 @@ def attention(q, k, v, weights, n_heads, penalty=None):
     swap, to_keys, from_keys = (ax + (n + 1, n, n + 2), ax + (n + 1, n + 2, n),
                                 ax + (n + 2, n, n + 1))
     fused = q is k and k is v
-    rows = [x.data.reshape(-1, d) for x in (q, k, v)]
+    rows = [x.reshape(-1, d) for x in (q.data, kd, vd)]
     if fused:
         w_qkv = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)
         proj = rows[0] @ w_qkv
@@ -298,7 +301,7 @@ def attention(q, k, v, weights, n_heads, penalty=None):
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     merged = np.transpose(np.matmul(probs, vh), swap).reshape(-1, d)  # [N x d]
-    out = Tensor((merged @ w_o.data).reshape(lead + (L_q, d)), (q, k, v) + tuple(weights))
+    out = Tensor((merged @ w_o.data).reshape(lead + (L_q, d)), _inputs(q, k, v) + list(weights))
 
     def backward(g):
         g_rows = g.reshape(-1, d)
@@ -319,7 +322,8 @@ def attention(q, k, v, weights, n_heads, penalty=None):
                 _accum(w, g_w)
             return
         for x, r, w, g_p in zip((q, k, v), rows, (w_q, w_k, w_v), g_projected):
-            _accum(x, (g_p @ w.data.T).reshape(x.data.shape))
+            if isinstance(x, Tensor):
+                _accum(x, (g_p @ w.data.T).reshape(x.data.shape))
             _accum(w, r.T @ g_p)
 
     _register(out, backward)

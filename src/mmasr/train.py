@@ -9,11 +9,12 @@ and trains the fusion decoder plus the visual encoder.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+import time
 
 import numpy as np
 
@@ -27,9 +28,11 @@ from .errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
+    ContractError,
     FeasibilityError,
     NumericError,
     RecipeError,
+    check_int,
 )
 from .layers import pad_batch
 from .metrics import EditCounts, align_edit, wer
@@ -42,7 +45,7 @@ CKPT_MAGIC = b"MMASRCK1"
 CKPT_VERSION = 1
 
 
-@dataclass
+@dataclasses.dataclass
 class TrainConfig:
     stage: str = "audio_only"
     lambda_ctc: float = 0.3
@@ -66,17 +69,26 @@ class TrainConfig:
             raise ConfigError(f"stage must be one of {STAGES}, got {self.stage!r}")
         if not 0.0 <= self.lambda_ctc <= 1.0:
             raise ConfigError("lambda_ctc must lie in [0, 1]")
-        if self.warmup < 0:
-            raise ConfigError("warmup must be >= 0")
-        if self.batch_size < 1 or self.max_steps < 0:
-            raise ConfigError("invalid batch_size/max_steps")
+        check_int("warmup", self.warmup, 0)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("max_steps", self.max_steps, 0)
+
+
+# Adam updates its flat arrays in slices of this many elements. The
+# temporaries of one slice stay in cache; whole-array passes over a ~1 MB
+# arena are bound by memory bandwidth and were no faster than one small
+# update per parameter.
+ADAM_CHUNK = 16384
 
 
 class Adam:
     """Adam with Noam-style inverse-sqrt warmup.
 
-    Parameter and moment values are rounded to float32 precision after
-    every update so checkpoints round-trip bitwise.
+    The trainable parameters live in one contiguous float64 arena, in
+    ``trainable`` order: each parameter's ``data`` is a view of it. The
+    moments are flat float32 arrays, and ``m`` and ``v`` map each name to
+    its view. Parameter and moment values are rounded to float32 precision
+    after every update so checkpoints round-trip bitwise.
     """
 
     def __init__(self, params, trainable, peak_lr, warmup,
@@ -86,13 +98,33 @@ class Adam:
         unknown = [n for n in self.trainable if n not in params]
         if unknown:
             raise ConfigError(f"unknown trainable parameters: {unknown[:3]}")
+        tensors = [params[n] for n in self.trainable]
+        if len({id(p) for p in tensors}) != len(tensors):
+            raise ContractError("two trainable names share one parameter tensor")
         self.peak_lr = peak_lr
         self.warmup = warmup
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = t
         self.grad_norm = math.nan  # of the gradients of the last step
-        self.m = {n: np.zeros_like(params[n].data) for n in self.trainable}
-        self.v = {n: np.zeros_like(params[n].data) for n in self.trainable}
+        size = sum(p.data.size for p in tensors)
+        self.arena = np.empty(size)
+        self._m = np.zeros(size, dtype=np.float32)
+        self._v = np.zeros(size, dtype=np.float32)
+        self._grads = np.empty(size)
+        self._temps = np.empty((4, min(size, ADAM_CHUNK)))
+        self._rounded = np.empty(min(size, ADAM_CHUNK), dtype=np.float32)
+        self.m, self.v = {}, {}
+        self._slots = []  # (name, tensor, its arena view, its gradient view)
+        start = 0
+        for name, p in zip(self.trainable, tensors):
+            span, shape = slice(start, start + p.data.size), p.data.shape
+            view = self.arena[span].reshape(shape)
+            view[...] = p.data
+            p.data = view
+            self.m[name] = self._m[span].reshape(shape)
+            self.v[name] = self._v[span].reshape(shape)
+            self._slots.append((name, p, view, self._grads[span].reshape(shape)))
+            start = span.stop
 
     def lr(self, t):
         if self.warmup > 0:
@@ -104,31 +136,57 @@ class Adam:
 
         A non-finite gradient raises NumericError naming its parameter, and
         leaves the parameters, the moments and ``t`` as they were. The
-        gradients' global L2 norm is kept in ``grad_norm``.
+        gradients' global L2 norm is kept in ``grad_norm``. A parameter whose
+        ``data`` was rebound since the last step is copied back into the
+        arena first.
         """
-        squares = 0.0
-        for name in self.trainable:
-            g = self.params[name].grad
-            if g is None:
-                continue
-            sq = float(np.vdot(g, g))
-            if not math.isfinite(sq):
-                raise NumericError(f"gradient of {name} is not finite (sum of squares {sq})")
-            squares += sq
+        for _, p, view, grad in self._slots:
+            if p.data is not view:
+                view[...] = p.data
+                p.data = view
+            if p.grad is None:
+                grad.fill(0.0)
+            else:
+                grad[...] = p.grad
+        squares = float(np.vdot(self._grads, self._grads))
+        if not math.isfinite(squares):
+            for name, _, _, grad in self._slots:
+                sq = float(np.vdot(grad, grad))
+                if not math.isfinite(sq):
+                    raise NumericError(
+                        f"gradient of {name} is not finite (sum of squares {sq})")
         self.grad_norm = math.sqrt(squares)
         self.t += 1
         lr = self.lr(self.t)
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for name in self.trainable:
-            p = self.params[name]
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data.astype("<f4").astype(np.float64)
-            self.m[name] = m.astype("<f4").astype(np.float64)
-            self.v[name] = v.astype("<f4").astype(np.float64)
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        # Per slice, in place, the operations of
+        #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        #   p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        # in this order, then p, m and v rounded to float32.
+        for start in range(0, self.arena.size, ADAM_CHUNK):
+            span = slice(start, start + ADAM_CHUNK)
+            p, g, m32, v32 = self.arena[span], self._grads[span], self._m[span], self._v[span]
+            m, v, x, y = self._temps[:, : p.size]
+            np.multiply(m32, b1, out=m, dtype=np.float64)
+            np.multiply(g, 1.0 - b1, out=x)
+            np.add(m, x, out=m)
+            np.multiply(v32, b2, out=v, dtype=np.float64)
+            np.multiply(g, 1.0 - b2, out=x)
+            np.multiply(x, g, out=x)
+            np.add(v, x, out=v)
+            np.divide(m, bc1, out=x)
+            np.multiply(x, lr, out=x)
+            np.divide(v, bc2, out=y)
+            np.sqrt(y, out=y)
+            np.add(y, eps, out=y)
+            np.divide(x, y, out=x)
+            rounded = self._rounded[: p.size]
+            np.subtract(p, x, out=rounded, casting="same_kind")
+            np.copyto(p, rounded)
+            np.copyto(m32, m, casting="same_kind")
+            np.copyto(v32, v, casting="same_kind")
         return lr
 
     def zero_grad(self):
@@ -180,7 +238,9 @@ def utterance_losses(model, batch, use_visual_flags, cfg):
 
     An utterance whose subsampled frame count cannot align its reference is
     skipped. Returns (CTC loss, attention loss, number skipped); the losses
-    are None when every utterance was skipped.
+    are None when every utterance was skipped. With ``freeze_encoder`` the
+    CTC loss and the audio features are numpy constants, so backward
+    computes no gradient for them.
     """
     enc_cfg, dec_cfg = model.cfg.encoder, model.cfg.decoder
     kept = []
@@ -202,6 +262,9 @@ def utterance_losses(model, batch, use_visual_flags, cfg):
         per_utt = ctc_mod.ctc_loss(ctc_head(feats, model.ctc_w),
                                    [utt.ref for utt in utts], feats.lengths)
         loss_ctc = tn.scale(tn.sum_all(per_utt), 1.0 / len(utts))
+    if cfg.freeze_encoder:
+        feats = dataclasses.replace(feats, frames=feats.frames.data)
+        loss_ctc = loss_ctc.data
     ocr, ocr_lengths = pad_batch([utt.ocr if use_visual else [] for utt, use_visual in kept])
     vis = encode_visual(ocr, model.visual, frozen=cfg.freeze_visual, lengths=ocr_lengths)
     targets_in, n_in = pad_batch([[dec_cfg.bos_id] + list(utt.ref) for utt in utts])
@@ -268,10 +331,26 @@ def validation_wer(model, utts, use_visual, beam=1, limit=0):
     return wer(total)
 
 
+def metrics_path(log_path):
+    """Where ``run_stage`` writes the telemetry of the stage logged to
+    ``log_path``: stageN.log -> stageN.metrics.jsonl."""
+    return os.path.splitext(log_path)[0] + ".metrics.jsonl"
+
+
+def _json_number(x):
+    # Strict JSON has no NaN or infinity.
+    return x if math.isfinite(x) else None
+
+
 def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
               opt=None, rng=None, start_step=0):
     """Train for cfg.max_steps steps; batches are sampled i.i.d. so resuming
-    from (optimizer state, rng state, step) is bit-exact."""
+    from (optimizer state, rng state, step) is bit-exact.
+
+    With ``log_path``, each step appends its losses and learning rate to
+    that log, which is deterministic, and its timing to ``metrics_path(
+    log_path)``: wall time, skipped utterances, gradient norm and input
+    frames per second."""
     if opt is None:
         opt = Adam(model.named_parameters(), trainable_names(model, cfg),
                    cfg.peak_lr, cfg.warmup, cfg.adam_beta1, cfg.adam_beta2,
@@ -280,8 +359,11 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     n = len(train_utts)
     history = []
-    log_f = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
+    with contextlib.ExitStack() as files:
+        log_f = metrics_f = None
+        if log_path:
+            log_f = files.enter_context(open(log_path, "a", encoding="utf-8"))
+            metrics_f = files.enter_context(open(metrics_path(log_path), "a", encoding="utf-8"))
         for step in range(start_step + 1, cfg.max_steps + 1):
             idx = rng.integers(0, n, cfg.batch_size)
             flags = None
@@ -289,15 +371,21 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
                 draws = rng.random(cfg.batch_size)
                 flags = [d >= cfg.p_visual_dropout for d in draws]
             batch = [train_utts[int(i)] for i in idx]
+            start = time.perf_counter()
             report = train_step(model, batch, cfg, opt, use_visual_flags=flags)
-            # A step whose utterances were all skipped has no loss: null, as
-            # strict JSON has no NaN.
+            wall = time.perf_counter() - start
+            # A step whose utterances were all skipped has no loss: null.
             record = {"step": step, "lr": report["lr"]}
             for key in ("loss_total", "loss_ctc", "loss_att"):
-                record[key] = report[key] if math.isfinite(report[key]) else None
+                record[key] = _json_number(report[key])
             history.append(record)
             if log_f:
                 log_f.write(json.dumps(record, sort_keys=True) + "\n")
+                frames = sum(len(utt.audio) for utt in batch)
+                metrics_f.write(json.dumps({
+                    "step": step, "wall_ms": wall * 1e3, "skipped": report["skipped"],
+                    "grad_norm": _json_number(report["grad_norm"]),
+                    "frames_per_s": frames / wall}, sort_keys=True) + "\n")
             if (cfg.val_every and valid_utts is not None
                     and step % cfg.val_every == 0):
                 vw = validation_wer(model, valid_utts,
@@ -307,9 +395,6 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
                 history.append(vrec)
                 if log_f:
                     log_f.write(json.dumps(vrec, sort_keys=True) + "\n")
-    finally:
-        if log_f:
-            log_f.close()
     return opt, rng, history
 
 
@@ -391,13 +476,33 @@ def _read_block(f, name, shape):
         raise CheckpointTruncatedError(
             f"checkpoint truncated while reading parameter '{name}'"
         )
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f4").reshape(shape)
+
+
+def _number(record, key, kinds, valid):
+    """``record[key]``, required to be one of ``kinds`` (never a bool) and
+    to satisfy ``valid``."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, kinds) or not valid(value):
+        raise ValueError(f"{key} = {value!r}")
+    return value
+
+
+def _check_rng_state(state):
+    """None, or a PCG64 state exactly as numpy writes it."""
+    if state is not None:
+        bits = np.random.PCG64()
+        bits.state = state
+        if (json.dumps(bits.state, sort_keys=True) != json.dumps(state, sort_keys=True)
+                or state["has_uint32"] not in (0, 1)):
+            raise ValueError(f"rng_state is not a PCG64 state: {state!r}")
 
 
 def _parse_header(header):
     """(model config, [(name, shape)] in payload order, Adam arguments or
-    None, step) of a checkpoint header. A missing or mistyped field raises
-    KeyError, TypeError or ValueError."""
+    None, step) of a checkpoint header. A missing, mistyped or out-of-range
+    field raises KeyError, TypeError, ValueError, OverflowError or
+    ConfigError."""
     model_json = dict(header["model_config"])
     encoder = dict(model_json["encoder"])
     # Files written while the encoder config still had this reserved hook
@@ -408,17 +513,29 @@ def _parse_header(header):
     if not isinstance(header["params"], list):
         raise TypeError(f"params is a {type(header['params']).__name__}, not a list")
     entries = [(str(e["name"]), tuple(e["shape"])) for e in header["params"]]
+    if len({name for name, _ in entries}) != len(entries):
+        raise ValueError("a parameter is listed twice")
+    _check_rng_state(header["rng_state"])
     adam = None
-    o = header.get("optimizer")
+    o = header["optimizer"]
     if o is not None:
-        trainable = [str(n) for n in o["trainable"]]
+        trainable = o["trainable"]
+        if (not isinstance(trainable, list) or not all(isinstance(n, str) for n in trainable)
+                or len(set(trainable)) != len(trainable)):
+            raise TypeError(f"trainable is not a list of distinct names: {trainable!r}")
         unknown = set(trainable) - {name for name, _ in entries}
         if unknown:
             raise CheckpointShapeError(
                 f"optimizer state for unknown parameters {sorted(unknown)[:3]}")
-        adam = dict(trainable=trainable, peak_lr=o["peak_lr"], warmup=o["warmup"],
-                    beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"], t=o["t"])
-    return model_cfg, entries, adam, header["step"]
+        real = (int, float)
+        adam = dict(trainable=trainable,
+                    peak_lr=_number(o, "peak_lr", real, lambda x: 0.0 <= x < math.inf),
+                    warmup=_number(o, "warmup", int, lambda n: n >= 0),
+                    beta1=_number(o, "beta1", real, lambda b: 0.0 <= b < 1.0),
+                    beta2=_number(o, "beta2", real, lambda b: 0.0 <= b < 1.0),
+                    eps=_number(o, "eps", real, lambda x: 0.0 < x < math.inf),
+                    t=_number(o, "t", int, lambda n: n >= 0))
+    return model_cfg, entries, adam, _number(header, "step", int, lambda n: n >= 0)
 
 
 def load_checkpoint(path):
@@ -443,15 +560,16 @@ def load_checkpoint(path):
             raise CheckpointVersionError(f"unreadable checkpoint header: {e}") from e
         if not isinstance(header, dict):
             raise CheckpointError("checkpoint header is not a JSON object")
-        if header.get("version") != CKPT_VERSION:
+        version = header.get("version")
+        if type(version) is not int or version != CKPT_VERSION:
             raise CheckpointVersionError(
-                f"unsupported checkpoint version {header.get('version')}"
+                f"unsupported checkpoint version {version!r}"
             )
         try:
             model_cfg, entries, adam, step = _parse_header(header)
-        except (KeyError, TypeError, ValueError) as e:
+            model = Model.init(model_cfg, seed=0)
+        except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
             raise CheckpointError(f"malformed checkpoint header: {e!r}") from e
-        model = Model.init(model_cfg, seed=0)
         params = model.named_parameters()
         for name, shape in entries:
             if name not in params:
@@ -461,7 +579,7 @@ def load_checkpoint(path):
                     f"parameter '{name}' has shape {shape} in checkpoint but "
                     f"{tuple(params[name].shape)} in config"
                 )
-            params[name].data = _read_block(f, name, shape)
+            params[name].data = _read_block(f, name, params[name].shape).astype(np.float64)
         missing = {name for name, _ in entries} ^ set(params)
         if missing:
             raise CheckpointShapeError(
@@ -471,9 +589,9 @@ def load_checkpoint(path):
         if adam is not None:
             opt = Adam(params, **adam)
             for n in opt.trainable:
-                opt.m[n] = _read_block(f, f"m:{n}", params[n].shape)
+                opt.m[n][...] = _read_block(f, f"m:{n}", params[n].shape)
             for n in opt.trainable:
-                opt.v[n] = _read_block(f, f"v:{n}", params[n].shape)
+                opt.v[n][...] = _read_block(f, f"v:{n}", params[n].shape)
         if f.read(1):
             raise CheckpointError("checkpoint has bytes after its payload")
-        return model, opt, step, header.get("rng_state")
+        return model, opt, step, header["rng_state"]

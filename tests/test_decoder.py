@@ -262,6 +262,9 @@ def test_decoder_config_validation():
         DecoderConfig(n_blocks=0, vocab_size=5)
     with pytest.raises(ConfigError):
         DecoderConfig(n_blocks=1, vocab_size=2)
+    for bad in ({"n_heads": 0}, {"d_ff": "8"}, {"d_model": 4.0}, {"n_blocks": True}):
+        with pytest.raises(ConfigError):
+            DecoderConfig(**{"n_blocks": 1, "vocab_size": 5, **bad})
     cfg = DecoderConfig(n_blocks=1, vocab_size=10)
     assert cfg.bos_id == 8
     assert cfg.eos_id == 9

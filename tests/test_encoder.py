@@ -59,6 +59,10 @@ def test_config_validation():
         EncoderConfig(subsample_factor=3)
     with pytest.raises(ConfigError):
         EncoderConfig(conv_width=4)
+    for bad in ({"n_heads": 0}, {"d_ff": 1.5}, {"d_model": True}, {"n_blocks": -1},
+                {"conv_width": -1}, {"subsample_factor": True}):
+        with pytest.raises(ConfigError):
+            EncoderConfig(**bad)
     with pytest.raises(TypeError):  # the reserved intermediate-CTC hook is gone
         EncoderConfig(intermediate_ctc_block=None)
 

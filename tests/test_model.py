@@ -84,3 +84,10 @@ def test_config_json_roundtrip():
     cfg = _cfg()
     again = ModelConfig.from_json(cfg.to_json())
     assert again == cfg
+    for key in ("encoder", "decoder"):
+        partial = cfg.to_json()
+        del partial[key]["d_ff"]
+        with pytest.raises(KeyError, match="d_ff"):
+            ModelConfig.from_json(partial)
+    with pytest.raises(ConfigError):
+        ModelConfig.from_json({**cfg.to_json(), "d_in": 3.0})

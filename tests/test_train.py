@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import math
+import random
 import struct
 
 import numpy as np
 import pytest
 
 from mmasr import tensor as tn
+from mmasr import train as train_module
 from mmasr.ctc import check_feasible, ctc_loss
 from mmasr.data import CorpusConfig, gen_corpus
 from mmasr.decoder import decoder_forward
@@ -18,6 +21,7 @@ from mmasr.errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
+    ContractError,
     FeasibilityError,
     NumericError,
     RecipeError,
@@ -29,6 +33,7 @@ from mmasr.train import (
     TrainConfig,
     label_smoothed_ce,
     load_checkpoint,
+    metrics_path,
     run_recipe,
     run_stage,
     save_checkpoint,
@@ -107,6 +112,8 @@ def test_train_config_validation():
         TrainConfig(lambda_ctc=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ConfigError):
+        TrainConfig(warmup=100.0)
 
 
 def test_zero_learning_rate_changes_nothing():
@@ -202,6 +209,10 @@ def test_all_skipped_step_logs_null(tmp_path):
                for line in log.read_text().splitlines()]
     assert [r["step"] for r in records] == [1, 2]
     assert all(r[k] is None for r in records for k in ("loss_total", "loss_ctc", "loss_att"))
+    metrics = [json.loads(line, parse_constant=_reject_constant)
+               for line in (tmp_path / "stage1.metrics.jsonl").read_text().splitlines()]
+    assert [(r["step"], r["skipped"], r["grad_norm"]) for r in metrics] == [(1, 1, None),
+                                                                           (2, 1, None)]
 
 
 def test_decoding_never_reads_the_reference():
@@ -397,6 +408,15 @@ def test_run_recipe_writes_checkpoints_and_logs(tmp_path):
     assert [r["step"] for r in records] == [1, 2, 3, 4]
     assert all(set(r) == {"step", "loss_total", "loss_ctc", "loss_att", "lr"}
                for r in records)
+    for stage in ("stage1", "stage2"):
+        path = metrics_path(str(tmp_path / f"{stage}.log"))
+        assert path == str(tmp_path / f"{stage}.metrics.jsonl")
+        metrics = [json.loads(l, parse_constant=_reject_constant)
+                   for l in open(path).read().splitlines()]
+        assert [r["step"] for r in metrics] == [1, 2, 3, 4]
+        for r in metrics:
+            assert set(r) == {"step", "wall_ms", "skipped", "grad_norm", "frames_per_s"}
+            assert r["wall_ms"] > 0 and r["frames_per_s"] > 0 and r["grad_norm"] > 0
     # stage 2 froze the encoder: stage-1 and stage-2 encoders agree bitwise
     m1, _, _, _ = load_checkpoint(str(tmp_path / "stage1.ckpt"))
     m2, _, _, _ = load_checkpoint(str(tmp_path / "stage2.ckpt"))
@@ -527,3 +547,212 @@ def test_adam_refuses_a_non_finite_gradient():
         opt.step()
     assert (model_bytes(model), {n: m.tobytes() for n, m in opt.m.items()},
             {n: v.tobytes() for n, v in opt.v.items()}, opt.t) == before
+
+
+class ReferenceAdam:
+    """The per-parameter Adam update that the flat arena replaced, kept as
+    an oracle: float64 copies of an Adam's parameters and moments, updated
+    one array at a time."""
+
+    def __init__(self, opt):
+        self.peak_lr, self.warmup = opt.peak_lr, opt.warmup
+        self.beta1, self.beta2, self.eps, self.t = opt.beta1, opt.beta2, opt.eps, opt.t
+        self.p = {n: opt.params[n].data.copy() for n in opt.trainable}
+        self.m = {n: np.asarray(opt.m[n], dtype=np.float64) for n in opt.trainable}
+        self.v = {n: np.asarray(opt.v[n], dtype=np.float64) for n in opt.trainable}
+
+    def lr(self, t):
+        if self.warmup > 0:
+            return self.peak_lr * min(t / self.warmup, math.sqrt(self.warmup / t))
+        return self.peak_lr * min(1.0, 1.0 / math.sqrt(t))
+
+    def step(self, grads):
+        self.grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()
+                                       if g is not None))
+        self.t += 1
+        lr = self.lr(self.t)
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name, g in grads.items():
+            p = self.p[name]
+            g = g if g is not None else np.zeros_like(p)
+            m = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            p = p - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            self.p[name] = p.astype("<f4").astype(np.float64)
+            self.m[name] = m.astype("<f4").astype(np.float64)
+            self.v[name] = v.astype("<f4").astype(np.float64)
+        return lr
+
+
+def _step_against_reference(model, opt, ref, cfg, batch, scalar=None):
+    """One optimizer step of ``opt`` and of ``ref`` on the same gradients;
+    asserts that both reach bitwise the same state."""
+    opt.zero_grad()
+    l_ctc, l_att, _ = utterance_losses(model, batch, [cfg.stage == "fusion"] * len(batch), cfg)
+    total = tn.add(tn.scale(l_ctc, cfg.lambda_ctc), tn.scale(l_att, 1.0 - cfg.lambda_ctc))
+    total.backward()
+    if scalar is not None:
+        scalar.grad = np.array(total.item() - 1.0)
+    grads = {n: None if opt.params[n].grad is None else opt.params[n].grad.copy()
+             for n in opt.trainable}
+    assert opt.step() == ref.step(grads)
+    assert opt.t == ref.t
+    assert abs(opt.grad_norm - ref.grad_norm) <= 1e-12 * ref.grad_norm
+    for n in opt.trainable:
+        p = opt.params[n].data
+        assert np.shares_memory(p, opt.arena), n
+        assert p.tobytes() == ref.p[n].tobytes(), n
+        assert np.asarray(opt.m[n], dtype=np.float64).tobytes() == ref.m[n].tobytes(), n
+        assert np.asarray(opt.v[n], dtype=np.float64).tobytes() == ref.v[n].tobytes(), n
+
+
+def _stage_config(stage):
+    return TrainConfig(stage=stage, freeze_encoder=stage == "fusion", peak_lr=1e-2, warmup=5)
+
+
+@pytest.mark.parametrize("stage", ["audio_only", "fusion"])
+@pytest.mark.parametrize("chunk", [train_module.ADAM_CHUNK, 37])
+def test_arena_adam_matches_the_per_parameter_update(stage, chunk, monkeypatch):
+    """With a scalar parameter, a trainable parameter that never gets a
+    gradient, and parameters whose data are rebound between steps. The
+    micro model fits one slice of ADAM_CHUNK; slices of 37 elements also
+    cut through parameters and leave a partial last slice."""
+    monkeypatch.setattr(train_module, "ADAM_CHUNK", chunk)
+    _, splits = gen_corpus(MICRO_CORPUS)
+    model = micro_model(seed=3)
+    cfg = _stage_config(stage)
+    scalar, unused = Tensor(np.array(0.25)), Tensor(np.full((2, 3), 0.5))
+    params = dict(model.named_parameters(), scalar=scalar, unused=unused)
+    opt = Adam(params, trainable_names(model, cfg) + ["scalar", "unused"],
+               cfg.peak_lr, cfg.warmup)
+    ref = ReferenceAdam(opt)
+    rng = np.random.default_rng(0)
+    for step in range(1, 25):
+        if step == 7:
+            out_w = params["decoder.out_w"]
+            out_w.data = out_w.data * 0.5
+            scalar.data = np.array(-0.5)
+            ref.p["decoder.out_w"], ref.p["scalar"] = out_w.data.copy(), scalar.data.copy()
+        batch = [splits["train"][int(i)] for i in rng.integers(0, 16, 4)]
+        _step_against_reference(model, opt, ref, cfg, batch, scalar)
+    assert unused.grad is None
+
+
+@pytest.mark.parametrize("stage", ["audio_only", "fusion"])
+def test_arena_adam_resumes_from_a_checkpoint_like_the_per_parameter_update(stage, tmp_path):
+    _, splits = gen_corpus(MICRO_CORPUS)
+    model = micro_model(seed=4)
+    cfg = _stage_config(stage)
+    opt = Adam(model.named_parameters(), trainable_names(model, cfg), cfg.peak_lr, cfg.warmup)
+    ref = ReferenceAdam(opt)
+    rng = np.random.default_rng(1)
+    for step in range(1, 23):
+        if step == 11:
+            save_checkpoint(str(tmp_path / "mid.ckpt"), model, opt, 10)
+            model, opt, _, _ = load_checkpoint(str(tmp_path / "mid.ckpt"))
+        batch = [splits["train"][int(i)] for i in rng.integers(0, 16, 4)]
+        _step_against_reference(model, opt, ref, cfg, batch)
+
+
+def test_adam_arena_edge_cases():
+    opt = Adam({}, [], peak_lr=1.0, warmup=10)
+    assert opt.step() == opt.lr(1) and opt.grad_norm == 0.0 and opt.t == 1
+    shared = Tensor(np.zeros(3))
+    with pytest.raises(ContractError, match="share"):
+        Adam({"a": shared, "b": shared}, ["a", "b"], peak_lr=1.0, warmup=10)
+
+
+def test_frozen_encoder_outputs_take_no_gradient():
+    """Stage 2 passes the frozen features and CTC loss as constants: no leaf
+    but a parameter holds a gradient, and the parameter gradients equal
+    those of a graph that also differentiates the encoder."""
+    _, splits = gen_corpus(MICRO_CORPUS)
+    model = micro_model(seed=2)
+    params = model.named_parameters()
+    batch, flags = splits["train"][:4], [True, True, False, True]
+    grads = []
+    for cfg in (TrainConfig(stage="fusion", freeze_encoder=True), TrainConfig(stage="fusion")):
+        for p in params.values():
+            p.grad = None
+        l_ctc, l_att, _ = utterance_losses(model, batch, flags, cfg)
+        total = tn.add(tn.scale(l_ctc, cfg.lambda_ctc), tn.scale(l_att, 1.0 - cfg.lambda_ctc))
+        total.backward()
+        if cfg.freeze_encoder:
+            ids = {id(p) for p in params.values()}
+            assert all(node.grad is None for node in tn._topo_order(total)
+                       if id(node) not in ids)
+        grads.append({n: p.grad for n, p in params.items() if p.grad is not None})
+    frozen, full = grads
+    assert frozen and not any(n.startswith("encoder.") or n == "ctc_w" for n in frozen)
+    for name, g in frozen.items():
+        assert g.tobytes() == full[name].tobytes(), name
+
+
+def _header_paths(node, path=()):
+    """Every field of a checkpoint header, the first two items of each list."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node[:2]) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _header_paths(child, path + (key,))
+
+
+def _wrong_values(path, value):
+    """Values that no checkpoint holds at ``path``: every number in a header
+    is non-negative, only rng_state and optimizer may be null, and a field
+    holding an integer never holds a fraction."""
+    wrong = ["x", True, -1, [], {"a": 1}]
+    if path[-1] != "rng_state":
+        wrong.append(None)
+    if type(value) is int:
+        wrong.append(0.5)
+    return [w for w in wrong if w != value or type(w) is not type(value)]
+
+
+def test_checkpoint_fuzz_raises_only_checkpoint_errors(tmp_path):
+    """Cut a checkpoint with optimizer and rng state at many offsets, give
+    every header field a wrong value or type or drop it, and append bytes:
+    each case raises a CheckpointError, and any other exception fails."""
+    _, splits = gen_corpus(MICRO_CORPUS)
+    model = micro_model(seed=4)
+    opt, rng, _ = run_stage(model, splits["train"], TrainConfig(max_steps=3, batch_size=2))
+    path = tmp_path / "good.ckpt"
+    save_checkpoint(str(path), model, opt, 3, rng)
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    block_ends = np.cumsum([12 + hlen] + [
+        4 * int(np.prod(e["shape"])) for e in header["params"]]
+        + [4 * model.named_parameters()[n].size for n in opt.trainable * 2])
+    assert block_ends[-1] == len(raw)
+    fuzz = random.Random(8)
+    cuts = set(range(16)) | {int(b) + d for b in block_ends[:-1] for d in (-1, 0, 1)}
+    cuts |= {fuzz.randrange(len(raw)) for _ in range(100)}
+    cases = [raw[:n] for n in sorted(cuts)]
+    cases += [raw + bytes(fuzz.randrange(256) for _ in range(fuzz.randint(1, 8)))
+              for _ in range(20)]
+    for field in _header_paths(header):
+        parent = header
+        for key in field[:-1]:
+            parent = parent[key]
+        values = _wrong_values(field, parent[field[-1]])
+        if isinstance(parent, dict):
+            values.append(KeyError)  # drop the field
+        for value in values:
+            mutated = json.loads(json.dumps(header))
+            target = mutated
+            for key in field[:-1]:
+                target = target[key]
+            if value is KeyError:
+                del target[field[-1]]
+            else:
+                target[field[-1]] = value
+            head = json.dumps(mutated, sort_keys=True).encode("utf-8")
+            cases.append(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + hlen :])
+    assert len(cases) > 500
+    bad = tmp_path / "bad.ckpt"
+    for case in cases:
+        bad.write_bytes(case)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(bad))
