@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import base64
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CorpusFormatError
+from .errors import ConfigError, CorpusFormatError, check_int
 
 SPLITS = ("train", "valid", "test")
 
@@ -54,22 +56,26 @@ class CorpusConfig:
     prototype_margin: float = 1.0
 
     def __post_init__(self):
-        for name in ("p_ocr_drop", "p_ocr_paraphrase"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name}={p} outside [0, 1]")
+        for name, minimum in (("v", 1), ("n_groups", 0), ("group_size", 1),
+                              ("n_background", 1), ("d_in", 1), ("duration_min", 1),
+                              ("duration_max", 1), ("n_distractors", 0),
+                              ("sent_len_min", 1), ("sent_len_max", 1), ("n_train", 0),
+                              ("n_valid", 0), ("n_test", 0), ("seed", 0)):
+            check_int(name, getattr(self, name), minimum)
+        for name, top in (("p_ocr_drop", 1.0), ("p_ocr_paraphrase", 1.0),
+                          ("noise_sigma", math.inf), ("prototype_margin", math.inf)):
+            x = getattr(self, name)
+            if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+                    or not (math.isfinite(x) and 0.0 <= x <= top)):
+                raise ConfigError(f"{name} must be a finite real in [0, {top}], got {x!r}")
         if self.n_groups > 0 and self.group_size < 2:
             raise ConfigError("group_size must be >= 2")
         if self.n_groups * self.group_size > self.v:
             raise ConfigError("homophone groups exceed vocabulary size")
-        if self.duration_min < 1:
-            raise ConfigError("durations must be >= 1")
         if self.duration_max < self.duration_min:
             raise ConfigError("duration_max < duration_min")
-        if self.sent_len_min < 1 or self.sent_len_max < self.sent_len_min:
+        if self.sent_len_max < self.sent_len_min:
             raise ConfigError("invalid sentence length range")
-        if self.n_distractors < 0 or self.n_background < 1:
-            raise ConfigError("invalid distractor configuration")
 
 
 @dataclass
@@ -198,24 +204,30 @@ def build_vocab(cfg):
 
 
 def featurize(tokens, vocab, durations, noise_sigma, rng):
-    """Emit each token's group prototype for its duration, plus Gaussian noise."""
-    rows = []
-    for tok, dur in zip(tokens, durations):
-        if dur < 1:
-            raise ConfigError("token duration must be >= 1")
-        proto = vocab.prototype_for(tok)
-        block = np.tile(proto, (dur, 1))
-        if noise_sigma > 0.0:
-            block = block + rng.normal(0.0, noise_sigma, block.shape)
-        rows.append(block)
-    return np.concatenate(rows, axis=0).astype("<f4")
+    """Emit each token's group prototype for its duration, plus Gaussian noise.
+
+    One draw covers the whole utterance: ``Generator.normal`` fills its
+    output in C order, so the noise equals that of one draw per token.
+    """
+    if len(tokens) == 0 or len(durations) != len(tokens):
+        raise ConfigError(f"need tokens and one duration each, got {len(tokens)} "
+                          f"tokens and {len(durations)} durations")
+    if min(durations) < 1:
+        raise ConfigError("token duration must be >= 1")
+    audio = vocab.prototypes[vocab.token_sound[tokens]].repeat(durations, axis=0)
+    if noise_sigma > 0.0:
+        audio += rng.normal(0.0, noise_sigma, audio.shape)
+    return audio.astype("<f4")
 
 
 def corrupt_to_ocr(ref_tokens, cfg, vocab, rng):
     """Drop, paraphrase (non-homophone synonym ids), and append distractors.
 
     The kept tokens preserve reference order; a kept homophone token always
-    appears verbatim or as its synonym, never as a same-group sibling.
+    appears verbatim or as its synonym, never as a same-group sibling. The
+    draws stay scalar: whether a token draws for a paraphrase depends on its
+    drop draw, so drawing either kind for all tokens at once would shift
+    the stream, and the corpus with it.
     """
     out = []
     for tok in ref_tokens:
@@ -233,13 +245,18 @@ def corrupt_to_ocr(ref_tokens, cfg, vocab, rng):
 
 def gen_utterance(cfg, vocab, split, index):
     """Generate one utterance from its own derived seed (seed isolation)."""
-    split_idx = SPLITS.index(split)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, split_idx + 1, index])
-    )
+    if split not in SPLITS:
+        raise ConfigError(f"unknown split {split!r}, not one of {SPLITS}")
+    check_int("utterance index", index, 0)
+    words = [cfg.seed, SPLITS.index(split) + 1, index]
+    # A uint32 array gives the state of the list, built faster; a value of
+    # 2**32 or more needs the list, which splits it into 32-bit words.
+    if max(words) < 2**32:
+        words = np.array(words, dtype=np.uint32)
+    rng = np.random.default_rng(np.random.SeedSequence(words))
     length = int(rng.integers(cfg.sent_len_min, cfg.sent_len_max + 1))
-    ref = [int(t) for t in rng.integers(1, cfg.v + 1, length)]
-    durations = [int(d) for d in rng.integers(cfg.duration_min, cfg.duration_max + 1, length)]
+    ref = rng.integers(1, cfg.v + 1, length).tolist()
+    durations = rng.integers(cfg.duration_min, cfg.duration_max + 1, length).tolist()
     audio = featurize(ref, vocab, durations, cfg.noise_sigma, rng)
     ocr = corrupt_to_ocr(ref, cfg, vocab, rng)
     return Utterance(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,6 +93,10 @@ def _walk(prefix, obj):
     # ints/floats/etc. are configuration, not parameters
 
 
+# Stands in for a Generator where every drawn value is overwritten.
+_UNSET = SimpleNamespace(normal=lambda loc, scale, size: np.empty(size))
+
+
 def round_to_f32(params):
     for _, t in params.items():
         t.data = t.data.astype("<f4").astype(np.float64)
@@ -108,7 +113,19 @@ class Model:
 
     @classmethod
     def init(cls, cfg, seed):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        model = cls._build(cfg, np.random.default_rng(np.random.SeedSequence([seed, 1])))
+        round_to_f32(model.named_parameters())
+        return model
+
+    @classmethod
+    def blank(cls, cfg):
+        """A model of ``cfg`` whose parameter values are left unset, for a
+        caller that overwrites every one of them: it draws no random numbers."""
+        return cls._build(cfg, _UNSET)
+
+    @classmethod
+    def _build(cls, cfg, rng):
+        # ``rng`` is used only through ``rng.normal(loc, scale, shape)``.
         d = cfg.encoder.d_model
         if cfg.decoder.d_model != d:
             raise ConfigError("encoder and decoder must share d_model")
@@ -117,9 +134,7 @@ class Model:
         visual = init_visual_params(cfg.text_vocab_size, d, cfg.decoder.n_heads,
                                     cfg.decoder.d_ff, rng)
         decoder = init_decoder_params(cfg.decoder, rng)
-        model = cls(cfg, encoder, ctc_w, visual, decoder)
-        round_to_f32(model.named_parameters())
-        return model
+        return cls(cfg, encoder, ctc_w, visual, decoder)
 
     def named_parameters(self):
         out = {}

@@ -111,10 +111,11 @@ def _register(out, backward):
 
 
 def _accum(t, g):
-    # The first gradient is stored as a copy: ``g`` may be shared (add passes
-    # one array to both operands) or read again by the caller.
+    # ``g`` is handed over: its producer made it for ``t`` alone and does not
+    # use it again, so the first gradient is stored without a copy. Where one
+    # array would reach two tensors (``add``), the producer copies.
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.asarray(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -145,10 +146,14 @@ def add(a, b):
     out = Tensor(ad + bd, _inputs(a, b))
 
     def backward(g):
+        ga = None
         if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g, ad.shape))
+            ga = _unbroadcast(g, ad.shape)
+            _accum(a, ga)
         if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(g, bd.shape))
+            gb = _unbroadcast(g, bd.shape)
+            # Both operands of the output's shape get ``g`` itself: b copies.
+            _accum(b, gb.copy() if gb is ga else gb)
 
     _register(out, backward)
     return out

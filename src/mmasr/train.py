@@ -470,7 +470,7 @@ def save_checkpoint(path, model, opt=None, step=0, rng=None):
 
 
 def _read_block(f, name, shape):
-    nbytes = int(np.prod(shape)) * 4 if shape else 4
+    nbytes = 4 * math.prod(shape)
     raw = f.read(nbytes)
     if len(raw) != nbytes:
         raise CheckpointTruncatedError(
@@ -491,7 +491,7 @@ def _number(record, key, kinds, valid):
 def _check_rng_state(state):
     """None, or a PCG64 state exactly as numpy writes it."""
     if state is not None:
-        bits = np.random.PCG64()
+        bits = np.random.PCG64(0)  # a seed, so that no OS entropy is read
         bits.state = state
         if (json.dumps(bits.state, sort_keys=True) != json.dumps(state, sort_keys=True)
                 or state["has_uint32"] not in (0, 1)):
@@ -567,7 +567,7 @@ def load_checkpoint(path):
             )
         try:
             model_cfg, entries, adam, step = _parse_header(header)
-            model = Model.init(model_cfg, seed=0)
+            model = Model.blank(model_cfg)
         except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
             raise CheckpointError(f"malformed checkpoint header: {e!r}") from e
         params = model.named_parameters()

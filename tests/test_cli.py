@@ -63,6 +63,20 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes", [
+    {"n_train": -5}, {"n_train": True}, {"noise_sigma": -1.0}, {"seed": -1},
+    {"n_train": 2.5}, {"noise_sigma": "x"}, {"v": 0, "n_groups": 0},
+])
+def test_gen_data_rejects_a_corpus_it_cannot_generate(tmp_path, capsys, changes):
+    bad = dict(CONFIG, corpus=dict(CONFIG["corpus"], **changes))
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    out = tmp_path / "c"
+    assert run_cli(["gen-data", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_unknown_section_rejected(tmp_path, capsys):
     bad = dict(CONFIG, extra_section={})
     p = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -108,6 +109,71 @@ def test_featurize_rejects_zero_duration():
     vocab = build_vocab(SMALL)
     with pytest.raises(ConfigError):
         featurize([1], vocab, [0], 0.0, np.random.default_rng(0))
+
+
+def test_featurize_rejects_no_tokens_and_unmatched_durations():
+    vocab = build_vocab(SMALL)
+    for tokens, durations in (([], []), ([1, 2], [3])):
+        with pytest.raises(ConfigError):
+            featurize(tokens, vocab, durations, 0.3, np.random.default_rng(0))
+
+
+def _featurize_per_token(tokens, vocab, durations, noise_sigma, rng):
+    """The per-token synthesis that ``featurize`` replaced, kept as an
+    oracle: one tile, one draw and one add per token, then a concatenate."""
+    rows = []
+    for tok, dur in zip(tokens, durations):
+        block = np.tile(vocab.prototype_for(tok), (dur, 1))
+        if noise_sigma > 0.0:
+            block = block + rng.normal(0.0, noise_sigma, block.shape)
+        rows.append(block)
+    return np.concatenate(rows, axis=0).astype("<f4")
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 2.5])
+def test_featurize_matches_the_per_token_oracle(sigma):
+    """Bitwise the same audio, and the generator left in the same state."""
+    vocab = build_vocab(SMALL)
+    pick = np.random.default_rng(21)
+    cases = [([5], [4000]), ([2, 9], [1, 4000])]
+    cases += [(pick.integers(1, SMALL.v + 1, n).tolist(), pick.integers(1, 9, n).tolist())
+              for n in pick.integers(1, 12, 40)]
+    for seed, (tokens, durations) in enumerate(cases):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = featurize(tokens, vocab, durations, sigma, got_rng)
+        want = _featurize_per_token(tokens, vocab, durations, sigma, want_rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (tokens, durations)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_uint32_seed_words_give_the_list_state():
+    for words in ([0, 1, 0], [2024, 3, 199], [2**32 - 1, 2, 2**32 - 1]):
+        array = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        assert np.array_equal(array.generate_state(8), np.random.SeedSequence(words).generate_state(8))
+
+
+def _corpus_digest(cfg, out_dir):
+    vocab, splits = gen_corpus(cfg)
+    write_corpus(str(out_dir), vocab, splits, cfg)
+    h = hashlib.sha256()
+    for name in ("vocab.json", "train.jsonl", "valid.jsonl", "test.jsonl"):
+        h.update((out_dir / name).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (CorpusConfig(seed=2024),
+     "e94bacbabf0b036486b4503e2d1110f8a9658b19bada7cdd569c9d9ac2710192"),
+    # A seed of 2**32 or more seeds from the list of its 32-bit words.
+    (CorpusConfig(seed=2**40, n_train=50, n_valid=10, n_test=10),
+     "d61052f042dff3eeae21b73636f8efe121ffbffe572ff386c5fd5cfbed2f48fa"),
+])
+def test_corpus_bytes_are_pinned(cfg, digest, tmp_path):
+    """sha256 of the files ``write_corpus`` writes, concatenated in this
+    order, as the per-token synthesis wrote them: the corpus of a seed never
+    changes."""
+    assert _corpus_digest(cfg, tmp_path) == digest
 
 
 def test_ocr_identity_corruption():
@@ -294,6 +360,28 @@ def test_extreme_valid_ids_are_accepted(tmp_path):
     utt.ocr = [1, 2 * SMALL.v + SMALL.n_background]
     write_split(str(tmp_path / "edge.jsonl"), [utt])
     assert read_split(str(tmp_path / "edge.jsonl"), vocab) == [utt]
+
+
+@pytest.mark.parametrize("changes", [
+    {"n_train": -5}, {"n_train": True}, {"n_train": 2.5}, {"seed": -1},
+    {"seed": 1.0}, {"v": 0, "n_groups": 0}, {"d_in": 0}, {"n_test": None},
+    {"n_distractors": -1}, {"sent_len_max": "8"}, {"duration_min": 0},
+    {"noise_sigma": -1.0}, {"noise_sigma": "x"}, {"noise_sigma": float("nan")},
+    {"noise_sigma": float("inf")}, {"noise_sigma": True}, {"prototype_margin": -0.5},
+    {"p_ocr_drop": "x"}, {"p_ocr_paraphrase": float("nan")},
+])
+def test_config_rejects_what_it_cannot_generate(changes):
+    with pytest.raises(ConfigError):
+        CorpusConfig(**changes)
+
+
+def test_gen_utterance_rejects_an_unknown_split_or_index():
+    vocab = build_vocab(SMALL)
+    with pytest.raises(ConfigError, match="split"):
+        gen_utterance(SMALL, vocab, "dev", 0)
+    for index in (-1, 1.0, True):
+        with pytest.raises(ConfigError, match="index"):
+            gen_utterance(SMALL, vocab, "train", index)
 
 
 def test_config_validation():

@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from mmasr import ctc as ctc_module
 from mmasr import tensor as tn
 from mmasr import train as train_module
 from mmasr.ctc import check_feasible, ctc_loss
@@ -234,13 +235,20 @@ def _train_briefly(model, splits, steps, seed=3):
     return cfg, run_stage(model, splits["train"], cfg)
 
 
-def test_checkpoint_roundtrip_bitwise(tmp_path):
+def _refuse(*args, **kwargs):
+    raise AssertionError("a checkpoint load made a random generator")
+
+
+def test_checkpoint_roundtrip_bitwise(tmp_path, monkeypatch):
+    """Every loaded value comes from the file: the load makes no generator."""
     _, splits = gen_corpus(MICRO_CORPUS)
     model = micro_model(seed=4)
     cfg, (opt, rng, _) = _train_briefly(model, splits, 5)
     path = tmp_path / "a.ckpt"
     save_checkpoint(str(path), model, opt, 5, rng)
-    model2, opt2, step, rng_state = load_checkpoint(str(path))
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", _refuse)
+        model2, opt2, step, rng_state = load_checkpoint(str(path))
     assert step == 5
     assert model_bytes(model2) == model_bytes(model)
     assert opt2.t == opt.t
@@ -322,6 +330,8 @@ def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path):
         "no_model_config": lambda h: h.pop("model_config"),
         "unknown_encoder_key": lambda h: h["model_config"]["encoder"].update(depth=3),
         "params_not_a_list": lambda h: h.update(params={"a": [1]}),
+        # valid configs on their own, but no model has both
+        "d_model_mismatch": lambda h: h["model_config"]["decoder"].update(d_model=6),
     }
     for name, mutate in corruptions.items():
         bad = tmp_path / f"{name}.ckpt"
@@ -756,3 +766,44 @@ def test_checkpoint_fuzz_raises_only_checkpoint_errors(tmp_path):
         bad.write_bytes(case)
         with pytest.raises(CheckpointError):
             load_checkpoint(str(bad))
+
+
+def _copying_accum(t, g):
+    """The accumulation that copied every first gradient, kept as an oracle."""
+    if t.grad is None:
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
+
+
+@pytest.mark.parametrize("stage", ["audio_only", "fusion"])
+def test_gradients_taken_without_a_copy_match_the_copying_accumulation(stage, monkeypatch):
+    """20 steps on a subsampling model: every parameter gradient is bitwise
+    the one of the accumulation that copied, and no two leaves' gradients
+    share memory."""
+    _, splits = gen_corpus(MICRO_CORPUS)
+    cfg = _stage_config(stage)
+    runs = []
+    for accum in (tn._accum, _copying_accum):
+        monkeypatch.setattr(tn, "_accum", accum)
+        monkeypatch.setattr(ctc_module, "_accum", accum)
+        model = _subsampling_model(seed=6)
+        params = model.named_parameters()
+        opt = Adam(params, trainable_names(model, cfg), cfg.peak_lr, cfg.warmup)
+        rng = np.random.default_rng(2)
+        grads = []
+        for _ in range(20):
+            batch = [splits["train"][int(i)] for i in rng.integers(0, 16, 4)]
+            flags = [stage == "fusion" and bool(f) for f in rng.random(4) > 0.3]
+            opt.zero_grad()
+            l_ctc, l_att, _ = utterance_losses(model, batch, flags, cfg)
+            tn.add(tn.scale(l_ctc, cfg.lambda_ctc), tn.scale(l_att, 1.0 - cfg.lambda_ctc)).backward()
+            held = [(n, p.grad) for n, p in params.items() if p.grad is not None]
+            assert all(g.dtype == np.float64 for _, g in held)
+            for i, (name, g) in enumerate(held):
+                for other, h in held[i + 1 :]:
+                    assert not np.shares_memory(g, h), (name, other)
+            grads.append({n: g.tobytes() for n, g in held})
+            opt.step()
+        runs.append(grads)
+    assert runs[0] == runs[1]
