@@ -22,6 +22,7 @@ from .data import (
     read_vocab,
     write_corpus,
 )
+from .decoder import DecoderConfig
 from .encoder import EncoderConfig
 from .errors import (
     CheckpointError,
@@ -55,18 +56,10 @@ _RUNTIME_ERRORS = (NumericError, ShapeError, ContractError, FeasibilityError,
 
 
 @dataclass
-class DecoderArch:
-    n_blocks: int = 2
-    n_heads: int = 4
-    d_model: int = 64
-    d_ff: int = 256
-
-
-@dataclass
 class RunConfig:
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    decoder: DecoderArch = field(default_factory=DecoderArch)
+    decoder: dict = field(default_factory=dict)  # DecoderConfig fields, as keywords
     train_stage1: TrainConfig = field(default_factory=lambda: TrainConfig(stage="audio_only"))
     train_stage2: TrainConfig = field(
         default_factory=lambda: TrainConfig(stage="fusion", freeze_encoder=True))
@@ -75,10 +68,13 @@ class RunConfig:
 def _strict(cls, d, section):
     if not isinstance(d, dict):
         raise ConfigError(f"section '{section}' must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
+    known = {f.name for f in dataclasses.fields(cls)} - {"vocab_size"}  # the corpus sets it
     unknown = sorted(set(d) - known)
     if unknown:
         raise ConfigError(f"unknown key(s) in '{section}': {', '.join(unknown)}")
+    if cls is DecoderConfig:  # checked now, on the smallest corpus' vocabulary
+        make_decoder_config(1, 0, **d)
+        return d
     return cls(**d)
 
 
@@ -91,7 +87,7 @@ def load_run_config(path):
     sections = {
         "corpus": CorpusConfig,
         "encoder": EncoderConfig,
-        "decoder": DecoderArch,
+        "decoder": DecoderConfig,
         "train_stage1": TrainConfig,
         "train_stage2": TrainConfig,
     }
@@ -113,8 +109,7 @@ def cmd_gen_data(args):
 
 
 def _model_config(rc, vocab):
-    dec = make_decoder_config(vocab.size, vocab.n_background,
-                              **dataclasses.asdict(rc.decoder))
+    dec = make_decoder_config(vocab.size, vocab.n_background, **rc.decoder)
     return ModelConfig(d_in=vocab.d_in, v_content=vocab.size,
                        n_background=vocab.n_background,
                        encoder=rc.encoder, decoder=dec)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CorpusFormatError, check_int
+from .errors import ConfigError, CorpusFormatError, VocabError, check_int
 
 SPLITS = ("train", "valid", "test")
 
@@ -214,6 +214,8 @@ def featurize(tokens, vocab, durations, noise_sigma, rng):
                           f"tokens and {len(durations)} durations")
     if min(durations) < 1:
         raise ConfigError("token duration must be >= 1")
+    if min(tokens) < 1 or max(tokens) > vocab.size:
+        raise VocabError(f"token ids outside 1..{vocab.size}: {list(tokens)}")
     audio = vocab.prototypes[vocab.token_sound[tokens]].repeat(durations, axis=0)
     if noise_sigma > 0.0:
         audio += rng.normal(0.0, noise_sigma, audio.shape)

@@ -10,7 +10,7 @@ audio-only decoder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -181,44 +181,49 @@ class Hypothesis:
     normalized: float
 
 
-def _norm(log_prob, n_emitted):
-    return log_prob / max(n_emitted, 1)
-
-
 def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
     """Length-normalized log-prob beam search; beam=1 is a greedy rollout.
 
-    Ties break toward the lexicographically smaller token sequence (lower
-    token id first, shorter hypothesis on prefix ties).
+    Each step scores all live hypotheses in one decoder call on their
+    prefixes, which are equally long. Ties break toward the lexicographically
+    smaller token sequence (lower token id first, shorter hypothesis on
+    prefix ties). A hypothesis ends at EOS or after max_len tokens.
     """
     if beam < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     eos, bos = cfg.eos_id, cfg.bos_id
+    ids = np.delete(np.arange(cfg.vocab_size), bos)  # what a step may emit
     with tn.no_grad():
-        live = [((), 0.0)]  # emitted tokens (excl. BOS), summed log-prob
-        finished = []  # (tokens-without-eos, log_prob, n_emitted incl. eos)
-        for _ in range(max_len):
-            candidates = []
-            for toks, lp in live:
-                logits = decoder_forward((bos,) + toks, t_feats, i_feats, cfg, params)
-                row = tn.log_softmax_rows(logits).data[len(toks)]
-                for v in range(cfg.vocab_size):
-                    if v == bos:
-                        continue
-                    candidates.append((toks + (v,), lp + float(row[v])))
-            candidates.sort(key=lambda c: (-_norm(c[1], len(c[0])), c[0]))
-            live = []
-            for toks, lp in candidates[:beam]:
-                if toks[-1] == eos:
-                    finished.append((toks[:-1], lp, len(toks)))
-                else:
-                    live.append((toks, lp))
-            if not live:
+        prefixes = np.array([[bos]])  # live hypotheses, BOS first, in token order
+        log_probs = np.zeros(1)
+        finished = []  # (tokens without EOS, log_prob, tokens emitted incl. EOS)
+        for step in range(1, max_len + 1):
+            n = len(prefixes)
+            logits = decoder_forward(prefixes, _beam_rows(t_feats, n),
+                                     _beam_rows(i_feats, n), cfg, params)
+            last = tn.log_softmax_rows(logits.data[:, -1]).data[:, ids]
+            scores = (log_probs[:, None] + last).ravel()
+            # The rows, so the candidates, are in token order; a stable sort keeps ties so.
+            best = np.argsort(-(scores / step), kind="stable")[:beam]
+            parent, token = np.divmod(best, len(ids))
+            prefixes = np.column_stack((prefixes[parent], ids[token]))
+            log_probs = scores[best]
+            done = (prefixes[:, -1] == eos) | (step == max_len)
+            finished += [(tuple(t for t in toks if t != eos), lp, step) for toks, lp in
+                         zip(prefixes[done, 1:].tolist(), log_probs[done].tolist())]
+            live = np.lexsort(prefixes.T[::-1])
+            live = live[~done[live]]
+            prefixes, log_probs = prefixes[live], log_probs[live]
+            if not len(live):
                 break
-        for toks, lp in live:
-            finished.append((toks, lp, len(toks)))
-        finished.sort(key=lambda c: (-_norm(c[1], c[2]), c[0]))
+        finished.sort(key=lambda c: (-c[1] / c[2], c[0]))
         toks, lp, n = finished[0]
-        return Hypothesis(tokens=list(toks), log_prob=lp, normalized=_norm(lp, n))
+        return Hypothesis(tokens=list(toks), log_prob=lp, normalized=lp / n)
+
+
+def _beam_rows(feats, n):
+    """One utterance's features repeated over n beam rows."""
+    frames = tn.as_tensor(feats.frames).data
+    return replace(feats, frames=np.broadcast_to(frames, (n,) + frames.shape))

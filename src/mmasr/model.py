@@ -74,11 +74,10 @@ class ModelConfig:
         )
 
 
-def make_decoder_config(v_content, n_background, n_blocks=2, n_heads=4,
-                        d_model=64, d_ff=256):
+def make_decoder_config(v_content, n_background, **arch):
+    """The DecoderConfig for a corpus; ``arch`` sets its other fields."""
     text_vocab = 1 + 2 * v_content + n_background
-    return DecoderConfig(n_blocks=n_blocks, n_heads=n_heads, d_model=d_model,
-                         d_ff=d_ff, vocab_size=text_vocab + 2)
+    return DecoderConfig(vocab_size=text_vocab + 2, **arch)
 
 
 def _walk(prefix, obj):

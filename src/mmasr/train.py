@@ -37,7 +37,7 @@ from .errors import (
 from .layers import pad_batch
 from .metrics import EditCounts, align_edit, wer
 from .model import Model, ModelConfig
-from .visual import empty_visual, encode_visual
+from .visual import encode_visual
 
 STAGES = ("audio_only", "fusion")
 
@@ -306,21 +306,18 @@ def decode_utterance(model, utt, use_visual, beam=4, max_len=None):
     By default a hypothesis ends after ``t_len + 1`` steps: CTC
     feasibility bounds a transcript by the encoder length, plus one EOS.
     """
-    dec_cfg = model.cfg.decoder
     with tn.no_grad():
         feats = encode_audio(np.asarray(utt.audio, dtype=np.float64),
                              model.cfg.encoder, model.encoder)
         if max_len is None:
             max_len = feats.t_len + 1
-        if use_visual and utt.ocr:
-            vis = encode_visual(utt.ocr, model.visual, frozen=True)
-        else:
-            vis = empty_visual(dec_cfg.d_model)
-        return beam_decode(feats, vis, dec_cfg, model.decoder, beam=beam,
+        vis = encode_visual(utt.ocr if use_visual else [], model.visual, frozen=True)
+        return beam_decode(feats, vis, model.cfg.decoder, model.decoder, beam=beam,
                            max_len=max_len)
 
 
-def validation_wer(model, utts, use_visual, beam=1, limit=0):
+def validation_counts(model, utts, use_visual, beam=1, limit=0):
+    """Edit counts summed over the first ``limit`` utterances (0: all)."""
     if limit:
         utts = utts[:limit]
     total = EditCounts(0, 0, 0, 0)
@@ -328,7 +325,7 @@ def validation_wer(model, utts, use_visual, beam=1, limit=0):
         hyp = decode_utterance(model, utt, use_visual, beam=beam)
         counts, _ = align_edit(utt.ref, hyp.tokens)
         total = total + counts
-    return wer(total)
+    return total
 
 
 def metrics_path(log_path):
@@ -388,10 +385,11 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
                     "frames_per_s": frames / wall}, sort_keys=True) + "\n")
             if (cfg.val_every and valid_utts is not None
                     and step % cfg.val_every == 0):
-                vw = validation_wer(model, valid_utts,
-                                    use_visual=(cfg.stage == "fusion"),
-                                    limit=cfg.val_subset)
-                vrec = {"step": step, "valid_wer": vw}
+                c = validation_counts(model, valid_utts,
+                                      use_visual=(cfg.stage == "fusion"),
+                                      limit=cfg.val_subset)
+                vrec = {"step": step, "valid_wer": wer(c), "S": c.substitutions,
+                        "D": c.deletions, "I": c.insertions, "N": c.ref_len}
                 history.append(vrec)
                 if log_f:
                     log_f.write(json.dumps(vrec, sort_keys=True) + "\n")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mmasr.cli import run_cli
+from mmasr.decoder import DecoderConfig
 from mmasr.train import load_checkpoint, save_checkpoint
 
 CONFIG = {
@@ -82,6 +83,38 @@ def test_unknown_section_rejected(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad))
     assert run_cli(["gen-data", "--config", str(p), "--out", str(tmp_path / "c")]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("decoder", [
+    {"typo_key": 1}, {"vocab_size": 20}, {"n_blocks": 0}, {"d_ff": "12"},
+    {"n_heads": True}, {"d_model": 8.0}, [],
+])
+def test_decoder_section_is_checked_against_decoder_config(workspace, capsys, decoder):
+    tmp_path, cfg_path = workspace
+    data = str(tmp_path / "corpus")
+    assert run_cli(["gen-data", "--config", cfg_path, "--out", data]) == 0
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(CONFIG, decoder=decoder)))
+    assert run_cli(["gen-data", "--config", str(p), "--out", str(tmp_path / "c")]) == 2
+    assert run_cli(["train", "--config", str(p), "--stage", "1", "--data", data,
+                    "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_decoder_section_takes_decoder_config_defaults(workspace, capsys):
+    tmp_path, cfg_path = workspace
+    data, out = str(tmp_path / "corpus"), str(tmp_path / "run")
+    assert run_cli(["gen-data", "--config", cfg_path, "--out", data]) == 0
+    p = tmp_path / "partial.json"
+    p.write_text(json.dumps(dict(CONFIG, decoder={"n_heads": 2, "d_model": 8},
+                                 train_stage1=dict(CONFIG["train_stage1"], max_steps=1))))
+    assert run_cli(["train", "--config", str(p), "--stage", "1", "--data", data,
+                    "--out", out]) == 0
+    dec = load_checkpoint(f"{out}/stage1.ckpt")[0].cfg.decoder
+    defaults = DecoderConfig(vocab_size=dec.vocab_size)
+    assert (dec.n_blocks, dec.d_ff) == (defaults.n_blocks, defaults.d_ff)
+    assert (dec.n_heads, dec.d_model) == (2, 8)
     capsys.readouterr()
 
 

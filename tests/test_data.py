@@ -22,7 +22,7 @@ from mmasr.data import (
     write_corpus,
     write_split,
 )
-from mmasr.errors import ConfigError, CorpusFormatError
+from mmasr.errors import ConfigError, CorpusFormatError, VocabError
 
 SMALL = CorpusConfig(v=10, n_groups=2, group_size=2, n_background=4, d_in=4,
                      n_train=20, n_valid=5, n_test=5, seed=7)
@@ -116,6 +116,14 @@ def test_featurize_rejects_no_tokens_and_unmatched_durations():
     for tokens, durations in (([], []), ([1, 2], [3])):
         with pytest.raises(ConfigError):
             featurize(tokens, vocab, durations, 0.3, np.random.default_rng(0))
+
+
+def test_featurize_rejects_ids_outside_the_content_vocabulary():
+    vocab = build_vocab(SMALL)
+    for tokens in ([0], [-1], [1, SMALL.v + 1], [2, -SMALL.v]):
+        with pytest.raises(VocabError):
+            featurize(tokens, vocab, [2] * len(tokens), 0.3, np.random.default_rng(0))
+    assert featurize([1, SMALL.v], vocab, [2, 2], 0.0, None).shape == (4, SMALL.d_in)
 
 
 def _featurize_per_token(tokens, vocab, durations, noise_sigma, rng):

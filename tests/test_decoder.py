@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from mmasr import decoder
 from mmasr import tensor as tn
 from mmasr.decoder import (
     DecoderConfig,
     DualCrossAttentionParams,
+    Hypothesis,
     beam_decode,
     decoder_forward,
     dual_cross_attention,
@@ -230,6 +232,149 @@ def test_wider_beam_never_scores_worse():
         h1 = beam_decode(t_feats, i_feats, cfg, params, beam=1, max_len=5)
         h4 = beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=5)
         assert h4.normalized >= h1.normalized - 1e-12
+
+
+def _reference_beam_decode(t_feats, i_feats, cfg, params, beam, max_len):
+    """The beam search one hypothesis at a time: a decoder call per live
+    hypothesis per step, candidates sorted by (-normalized, tokens)."""
+    eos, bos = cfg.eos_id, cfg.bos_id
+
+    def norm(log_prob, n):
+        return log_prob / max(n, 1)
+
+    with tn.no_grad():
+        live = [((), 0.0)]  # emitted tokens (excl. BOS), summed log-prob
+        finished = []  # (tokens-without-eos, log_prob, n_emitted incl. eos)
+        for _ in range(max_len):
+            candidates = []
+            for toks, lp in live:
+                logits = decoder.decoder_forward((bos,) + toks, t_feats, i_feats,
+                                                 cfg, params)
+                row = tn.log_softmax_rows(logits).data[len(toks)]
+                for v in range(cfg.vocab_size):
+                    if v != bos:
+                        candidates.append((toks + (v,), lp + float(row[v])))
+            candidates.sort(key=lambda c: (-norm(c[1], len(c[0])), c[0]))
+            live = []
+            for toks, lp in candidates[:beam]:
+                if toks[-1] == eos:
+                    finished.append((toks[:-1], lp, len(toks)))
+                else:
+                    live.append((toks, lp))
+            if not live:
+                break
+        for toks, lp in live:
+            finished.append((toks, lp, len(toks)))
+        finished.sort(key=lambda c: (-norm(c[1], c[2]), c[0]))
+        toks, lp, n = finished[0]
+        return Hypothesis(tokens=list(toks), log_prob=lp, normalized=norm(lp, n))
+
+
+def _assert_matches_reference(t_feats, i_feats, cfg, params, beam, max_len):
+    got = beam_decode(t_feats, i_feats, cfg, params, beam=beam, max_len=max_len)
+    want = _reference_beam_decode(t_feats, i_feats, cfg, params, beam, max_len)
+    assert got.tokens == want.tokens
+    assert abs(got.log_prob - want.log_prob) <= 1e-12
+    assert abs(got.normalized - want.normalized) <= 1e-12
+    return got
+
+
+def test_batched_beam_matches_per_hypothesis_reference():
+    hit_max_len = ended = 0
+    for seed in range(4):
+        cfg, params = _decoder(6 + seed % 2, seed=seed)
+        rng = np.random.default_rng(400 + seed)
+        t_feats = _audio(3 + seed, 4, rng)
+        for i_len in (0, 3):
+            i_feats = _visual(i_len, 4, rng)
+            for beam in (1, 2, 4, 64):
+                for max_len in (1, 3, 5):
+                    hyp = _assert_matches_reference(t_feats, i_feats, cfg, params,
+                                                    beam, max_len)
+                    if len(hyp.tokens) == max_len:
+                        hit_max_len += 1
+                    else:
+                        ended += 1
+    assert hit_max_len and ended  # both ways a search can end are covered
+
+
+def test_tied_candidates_pick_the_lexicographically_smallest():
+    cfg, params = _decoder(6, seed=3)
+    params.out_w.data[:] = 0.0  # every candidate of a step ties
+    t_feats, i_feats = _audio(4, 4), _visual(2, 4)
+    # EOS, the largest id, never makes a beam of 3: the search runs to
+    # max_len and keeps the smallest prefixes.
+    hyp = _assert_matches_reference(t_feats, i_feats, cfg, params, 3, 4)
+    assert hyp.tokens == [0, 0, 0, 0]
+    # A beam of every candidate takes EOS at step 1; the empty hypothesis
+    # ties in normalized score with all others and is the smallest.
+    hyp = _assert_matches_reference(t_feats, i_feats, cfg, params, 5, 2)
+    assert hyp.tokens == []
+
+
+def _scripted_decoder(cfg, best, seen):
+    """A stand-in for decoder_forward: at the last position of each prefix,
+    token ``best(prefix)`` gets log-prob 0.0 and every other one exactly
+    -1000, so candidates tie in whole groups. Records each prefix in
+    ``seen`` under its length."""
+
+    def forward(targets_in, *args, **kwargs):
+        targets = np.asarray(targets_in)
+        logits = np.full(targets.shape + (cfg.vocab_size,), -1000.0)
+        for row, prefix in zip(logits.reshape(-1, *logits.shape[-2:]),
+                               targets.reshape(-1, targets.shape[-1]).tolist()):
+            seen.setdefault(len(prefix), set()).add(tuple(prefix))
+            row[-1, best(tuple(prefix))] = 0.0
+        return Tensor(logits)
+
+    return forward
+
+
+def _same_search(monkeypatch, cfg, params, best, beam, max_len):
+    """Run both searches on a scripted decoder; they must visit the same
+    prefixes at every step and return the same hypothesis."""
+    args = (_audio(3, 4), empty_visual(4), cfg, params, beam, max_len)
+    searched, seen = {}, {}
+    monkeypatch.setattr(decoder, "decoder_forward", _scripted_decoder(cfg, best, searched))
+    hyp = beam_decode(*args)
+    monkeypatch.setattr(decoder, "decoder_forward", _scripted_decoder(cfg, best, seen))
+    assert hyp == _reference_beam_decode(*args)
+    assert searched == seen
+    return hyp, searched
+
+
+def test_ties_across_parents_follow_token_order(monkeypatch):
+    """Candidates of different parents that tie are ordered by token
+    sequence, not by their parents' places in the beam."""
+    cfg, params = _decoder(5)  # content 0..2, BOS 3, EOS 4
+    bos, eos = cfg.bos_id, cfg.eos_id
+    # After step 1 the beam holds (2,) before (0,); at step 2, (0, 1) ties
+    # with (2, 0), (2, 1) and (2, 2) at -1000 and must win.
+    table = {(bos,): 2, (bos, 2): eos, (bos, 0): 1}
+    hyp, searched = _same_search(monkeypatch, cfg, params,
+                                 lambda prefix: table.get(prefix, eos), 2, 3)
+    assert searched[3] == {(bos, 0, 1)}
+    assert hyp.tokens == [2]
+    cfg, params = _decoder(6)
+    for seed in range(30):
+        def best(prefix):
+            return int(np.random.default_rng([seed, *prefix]).integers(cfg.vocab_size))
+        _same_search(monkeypatch, cfg, params, best, 2 + seed % 3, 4)
+
+
+def test_one_decoder_call_per_search_step(monkeypatch):
+    cfg, params = _decoder(6, seed=5)
+    widths = []
+
+    def counted(targets_in, *args, **kwargs):
+        widths.append(np.shape(targets_in))
+        return decoder_forward(targets_in, *args, **kwargs)
+
+    monkeypatch.setattr(decoder, "decoder_forward", counted)
+    params.out_w.data[:] = 0.0  # no EOS in a beam of 4: runs to max_len
+    hyp = beam_decode(_audio(4, 4), _visual(2, 4), cfg, params, beam=4, max_len=5)
+    assert len(hyp.tokens) == 5
+    assert widths == [(1, 1), (4, 2), (4, 3), (4, 4), (4, 5)]
 
 
 def test_beam_config_validation():

@@ -27,11 +27,13 @@ from mmasr.errors import (
     NumericError,
     RecipeError,
 )
+from mmasr.metrics import EditCounts, align_edit
 from mmasr.model import Model, ModelConfig, make_decoder_config
 from mmasr.tensor import Tensor
 from mmasr.train import (
     Adam,
     TrainConfig,
+    decode_utterance,
     label_smoothed_ce,
     load_checkpoint,
     metrics_path,
@@ -217,8 +219,6 @@ def test_all_skipped_step_logs_null(tmp_path):
 
 
 def test_decoding_never_reads_the_reference():
-    from mmasr.train import decode_utterance
-
     _, splits = gen_corpus(MICRO_CORPUS)
     model = micro_model(seed=2)
     for utt in splits["test"]:
@@ -376,8 +376,6 @@ def test_truncated_checkpoint_names_parameter(tmp_path):
 
 
 def test_fusion_reinit_preserves_audio_behavior():
-    from mmasr.train import decode_utterance
-
     _, splits = gen_corpus(MICRO_CORPUS)
     model = micro_model(seed=6)
     cfg, _ = _train_briefly(model, splits, 10)
@@ -432,6 +430,30 @@ def test_run_recipe_writes_checkpoints_and_logs(tmp_path):
     m2, _, _, _ = load_checkpoint(str(tmp_path / "stage2.ckpt"))
     assert model_bytes(m1, "encoder.") == model_bytes(m2, "encoder.")
     assert model_bytes(m1, "visual.") != model_bytes(m2, "visual.")
+
+
+def test_validation_records_report_edit_counts(tmp_path):
+    _, splits = gen_corpus(MICRO_CORPUS)
+    cfg = TrainConfig(stage="audio_only", max_steps=4, batch_size=2, seed=0,
+                      val_every=2, val_subset=3)
+    logs = []
+    for name in ("a.log", "b.log"):
+        model = micro_model()
+        run_stage(model, splits["train"], cfg, log_path=str(tmp_path / name),
+                  valid_utts=splits["valid"])
+        logs.append((tmp_path / name).read_bytes())
+    assert logs[0] == logs[1]
+    records = [json.loads(l) for l in logs[0].decode().splitlines() if "valid_wer" in l]
+    assert [r["step"] for r in records] == [2, 4]
+    want = EditCounts(0, 0, 0, 0)
+    for utt in splits["valid"][:3]:  # the model as the last record saw it
+        want = want + align_edit(utt.ref, decode_utterance(model, utt, False, beam=1).tokens)[0]
+    last = records[-1]
+    assert (last["S"], last["D"], last["I"], last["N"]) == (
+        want.substitutions, want.deletions, want.insertions, want.ref_len)
+    for r in records:
+        assert set(r) == {"step", "valid_wer", "S", "D", "I", "N"}
+        assert r["valid_wer"] == (r["S"] + r["D"] + r["I"]) / r["N"]
 
 
 def _subsampling_model(seed=0):
