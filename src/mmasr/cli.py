@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .data import (
     CorpusConfig,
+    _is_id,
     gen_corpus,
     read_corpus,
     read_split,
@@ -171,9 +172,15 @@ def _read_hypotheses(path):
                 continue
             try:
                 rec = json.loads(line)
-                hyps[rec["id"]] = [int(t) for t in rec["tokens"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise CorpusFormatError(f"bad hypothesis record: {e}", record=i) from e
+                uid, tokens = rec["id"], rec["tokens"]
+            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                raise CorpusFormatError(f"bad hypothesis record: {e!r}", record=i) from e
+            if not isinstance(uid, str):
+                raise CorpusFormatError(f"hypothesis id {uid!r} is not a string", record=i)
+            if not isinstance(tokens, list) or not all(_is_id(t) and t >= 0 for t in tokens):
+                raise CorpusFormatError(
+                    f"hypothesis tokens are not integers >= 0: {tokens!r}", record=i)
+            hyps[uid] = tokens
     return hyps
 
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 import base64
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CorpusFormatError, VocabError, check_int
+from .errors import ConfigError, CorpusFormatError, VocabError, check_int, check_real
 
 SPLITS = ("train", "valid", "test")
 
@@ -64,10 +63,7 @@ class CorpusConfig:
             check_int(name, getattr(self, name), minimum)
         for name, top in (("p_ocr_drop", 1.0), ("p_ocr_paraphrase", 1.0),
                           ("noise_sigma", math.inf), ("prototype_margin", math.inf)):
-            x = getattr(self, name)
-            if (isinstance(x, bool) or not isinstance(x, numbers.Real)
-                    or not (math.isfinite(x) and 0.0 <= x <= top)):
-                raise ConfigError(f"{name} must be a finite real in [0, {top}], got {x!r}")
+            check_real(name, getattr(self, name), 0, top)
         if self.n_groups > 0 and self.group_size < 2:
             raise ConfigError("group_size must be >= 2")
         if self.n_groups * self.group_size > self.v:
@@ -134,13 +130,24 @@ class HomophoneVocab:
 
     @classmethod
     def from_json(cls, d):
-        return cls(
-            size=int(d["size"]),
-            n_background=int(d["n_background"]),
-            groups=[list(map(int, g)) for g in d["groups"]],
-            prototypes=np.asarray(d["prototypes"], dtype=np.float64),
-            token_sound=np.asarray(d["token_sound"], dtype=np.int64),
-        )
+        """The inverse of ``to_json``. A missing, mistyped or inconsistent
+        field raises KeyError, TypeError or ValueError."""
+        size, n_background, groups = d["size"], d["n_background"], d["groups"]
+        if not (_is_id(size) and size >= 1 and _is_id(n_background) and n_background >= 0):
+            raise ValueError(f"size {size!r} or n_background {n_background!r} is not a count")
+        if not (isinstance(groups, list) and all(
+                isinstance(g, list) and all(_is_id(t) and 1 <= t <= size for t in g)
+                for g in groups)):
+            raise ValueError("groups is not a list of lists of content token ids")
+        prototypes = np.asarray(d["prototypes"], dtype=np.float64)
+        if prototypes.ndim != 2 or 0 in prototypes.shape or not np.all(np.isfinite(prototypes)):
+            raise ValueError("prototypes is not a finite [sounds x d_in] matrix")
+        token_sound = np.asarray(d["token_sound"])
+        if (token_sound.shape != (size + 1,) or token_sound.dtype.kind != "i"
+                or not np.all((0 <= token_sound) & (token_sound < len(prototypes)))):
+            raise ValueError("token_sound does not map each content token to a prototype")
+        return cls(size=size, n_background=n_background, groups=groups,
+                   prototypes=prototypes, token_sound=token_sound.astype(np.int64))
 
 
 @dataclass(eq=False)
@@ -334,6 +341,8 @@ def _parse_record(line, record_index, vocab):
             record=record_index,
         )
     audio = np.frombuffer(raw, dtype="<f4").reshape(sum(durations), d_in)
+    if not np.all(np.isfinite(audio)):
+        raise CorpusFormatError("frame block holds a non-finite value", record=record_index)
     return Utterance(uid=uid, ref=ref, durations=durations, audio=audio, ocr=ocr)
 
 
@@ -376,11 +385,16 @@ def read_vocab(path):
             meta = json.load(f)
         except json.JSONDecodeError as e:
             raise CorpusFormatError(f"invalid vocab file: {e}") from e
+    if not isinstance(meta, dict):
+        raise CorpusFormatError("vocab file is not a JSON object")
     if meta.get("format_version") != 1:
         raise CorpusFormatError(
             f"unsupported corpus format version {meta.get('format_version')}"
         )
-    return HomophoneVocab.from_json(meta["vocab"])
+    try:
+        return HomophoneVocab.from_json(meta["vocab"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorpusFormatError(f"malformed vocab: {e!r}") from e
 
 
 def read_corpus(in_dir, splits=SPLITS):

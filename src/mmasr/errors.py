@@ -4,6 +4,7 @@ The CLI maps these onto exit codes: config/data problems exit 2,
 numeric/runtime problems exit 3.
 """
 
+import math
 import numbers
 
 
@@ -74,3 +75,15 @@ def check_int(what, value, minimum):
     least ``minimum``; configs arrive from JSON files."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(what, value, low, high, open_low=False, open_high=False):
+    """Raise ConfigError unless ``value`` is a finite real number (not a
+    bool) between ``low`` and ``high``, each end included unless marked
+    open."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+            or not (low < value if open_low else low <= value)
+            or not (value < high if open_high else value <= high)):
+        interval = f"{'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
+        raise ConfigError(f"{what} must be a finite real in {interval}, got {value!r}")

@@ -109,6 +109,7 @@ class Model:
         self.ctc_w = ctc_w
         self.visual = visual
         self.decoder = decoder
+        self.speech_cache = None  # stage 2's train.SpeechCache, made by its first frozen step
 
     @classmethod
     def init(cls, cfg, seed):
@@ -142,6 +143,10 @@ class Model:
             for name, t in _walk(root, obj):
                 out[name] = t
         return out
+
+    def speech_parameters(self):
+        """The speech encoder's and the CTC head's tensors: what stage 2 freezes."""
+        return [t for _, t in _walk("encoder", self.encoder)] + [self.ctc_w]
 
     def reinit_fusion(self, seed):
         """Fresh visual encoder and visual cross-attention branches.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import numpy as np
 from . import ctc as ctc_mod
 from . import tensor as tn
 from .decoder import beam_decode, decoder_forward
-from .encoder import ctc_head, encode_audio
+from .encoder import AudioFeatures, ctc_head, encode_audio
 from .errors import (
     CheckpointError,
     CheckpointShapeError,
@@ -33,6 +34,7 @@ from .errors import (
     NumericError,
     RecipeError,
     check_int,
+    check_real,
 )
 from .layers import pad_batch
 from .metrics import EditCounts, align_edit, wer
@@ -67,11 +69,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ConfigError(f"stage must be one of {STAGES}, got {self.stage!r}")
-        if not 0.0 <= self.lambda_ctc <= 1.0:
-            raise ConfigError("lambda_ctc must lie in [0, 1]")
-        check_int("warmup", self.warmup, 0)
-        check_int("batch_size", self.batch_size, 1)
-        check_int("max_steps", self.max_steps, 0)
+        check_real("lambda_ctc", self.lambda_ctc, 0, 1)
+        check_real("peak_lr", self.peak_lr, 0, math.inf)
+        check_real("label_smoothing", self.label_smoothing, 0, 1, open_high=True)
+        check_real("p_visual_dropout", self.p_visual_dropout, 0, 1)
+        check_real("adam_beta1", self.adam_beta1, 0, 1, open_high=True)
+        check_real("adam_beta2", self.adam_beta2, 0, 1, open_high=True)
+        check_real("adam_eps", self.adam_eps, 0, math.inf, open_low=True)
+        for name, minimum in (("warmup", 0), ("batch_size", 1), ("max_steps", 0),
+                              ("seed", 0), ("val_every", 0), ("val_subset", 0)):
+            check_int(name, getattr(self, name), minimum)
+        for name in ("freeze_encoder", "freeze_visual"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 # Adam updates its flat arrays in slices of this many elements. The
@@ -232,6 +242,49 @@ def label_smoothed_ce(logits, targets, smoothing, lengths=None):
     return tn.sum_all(picked)
 
 
+class SpeechCache:
+    """Stage 2's frozen speech path, run once per distinct training utterance:
+    its features from encoding it alone (so no entry depends on a batch),
+    stored as float32, and its CTC loss, keyed by a digest of its audio and
+    reference. Each frozen parameter gets a read-only array of its own, and
+    rebinding any of them (as an Adam over them does) drops every entry."""
+
+    def __init__(self):
+        self.entries = {}  # digest -> (features [t_len x d_model] <f4, CTC loss)
+        self.arrays = []  # the frozen parameters' arrays the entries were made with
+        self.encoded = 0  # utterances run through the encoder so far
+
+    def batch(self, model, utts):
+        """(AudioFeatures of ``utts`` zero-padded to a float64 constant
+        [B x t_len x d_model], their mean CTC loss as a numpy scalar)."""
+        frozen = model.speech_parameters()
+        if (len(frozen) != len(self.arrays)
+                or any(t.data is not a for t, a in zip(frozen, self.arrays))):
+            self.entries.clear()
+            for t in frozen:
+                t.data = t.data.copy()
+                t.data.setflags(write=False)
+            self.arrays = [t.data for t in frozen]
+        found = []
+        for utt in utts:
+            audio = np.asarray(utt.audio)
+            digest = hashlib.blake2b(f"{audio.dtype.str}{audio.shape}".encode(), digest_size=16)
+            digest.update(audio.tobytes())
+            digest.update(np.asarray(utt.ref, dtype="<i8").tobytes())
+            key = digest.digest()
+            if key not in self.entries:
+                with tn.no_grad():
+                    feats = encode_audio(audio.astype(np.float64), model.cfg.encoder,
+                                         model.encoder)
+                    loss = ctc_mod.ctc_loss(ctc_head(feats, model.ctc_w), utt.ref).item()
+                self.entries[key] = (feats.frames.data.astype("<f4"), loss)
+                self.encoded += 1
+            found.append(self.entries[key])
+        frames, lengths = pad_batch([f for f, _ in found], dtype=np.float64)
+        loss = np.sum(np.array([c for _, c in found])) * (1.0 / len(utts))
+        return AudioFeatures(frames, frames.shape[1], lengths), np.asarray(loss)
+
+
 def utterance_losses(model, batch, use_visual_flags, cfg):
     """Batch-mean CTC and attention losses of the utterances in ``batch``,
     built as one zero-padded, masked graph.
@@ -239,8 +292,8 @@ def utterance_losses(model, batch, use_visual_flags, cfg):
     An utterance whose subsampled frame count cannot align its reference is
     skipped. Returns (CTC loss, attention loss, number skipped); the losses
     are None when every utterance was skipped. With ``freeze_encoder`` the
-    CTC loss and the audio features are numpy constants, so backward
-    computes no gradient for them.
+    CTC loss and the audio features are numpy constants from the model's
+    ``SpeechCache``, so backward computes no gradient for them.
     """
     enc_cfg, dec_cfg = model.cfg.encoder, model.cfg.decoder
     kept = []
@@ -255,16 +308,16 @@ def utterance_losses(model, batch, use_visual_flags, cfg):
     if not kept:
         return None, None, skipped
     utts = [utt for utt, _ in kept]
-    frames, raw_lengths = pad_batch([utt.audio for utt in utts], dtype=np.float64)
-    # Frozen speech path: detach the encoder and report CTC without grads.
-    with tn.no_grad() if cfg.freeze_encoder else contextlib.nullcontext():
+    if cfg.freeze_encoder:
+        if model.speech_cache is None:
+            model.speech_cache = SpeechCache()
+        feats, loss_ctc = model.speech_cache.batch(model, utts)
+    else:
+        frames, raw_lengths = pad_batch([utt.audio for utt in utts], dtype=np.float64)
         feats = encode_audio(frames, enc_cfg, model.encoder, raw_lengths)
         per_utt = ctc_mod.ctc_loss(ctc_head(feats, model.ctc_w),
                                    [utt.ref for utt in utts], feats.lengths)
         loss_ctc = tn.scale(tn.sum_all(per_utt), 1.0 / len(utts))
-    if cfg.freeze_encoder:
-        feats = dataclasses.replace(feats, frames=feats.frames.data)
-        loss_ctc = loss_ctc.data
     ocr, ocr_lengths = pad_batch([utt.ocr if use_visual else [] for utt, use_visual in kept])
     vis = encode_visual(ocr, model.visual, frozen=cfg.freeze_visual, lengths=ocr_lengths)
     targets_in, n_in = pad_batch([[dec_cfg.bos_id] + list(utt.ref) for utt in utts])
@@ -283,10 +336,15 @@ def train_step(model, batch, cfg, opt, use_visual_flags=None):
         raise ConfigError("empty batch")
     if use_visual_flags is None:
         use_visual_flags = [cfg.stage == "fusion"] * len(batch)
+    encoded_before = model.speech_cache.encoded if model.speech_cache else 0
     mean_ctc, mean_att, skipped = utterance_losses(model, batch, use_visual_flags, cfg)
+    # Utterances run through the speech encoder: the cache misses when frozen.
+    encoded = (model.speech_cache.encoded - encoded_before
+               if cfg.freeze_encoder and model.speech_cache else len(batch) - skipped)
     if mean_ctc is None:
         return {"loss_total": math.nan, "loss_ctc": math.nan, "loss_att": math.nan,
-                "lr": opt.lr(opt.t + 1), "skipped": skipped, "grad_norm": math.nan}
+                "lr": opt.lr(opt.t + 1), "skipped": skipped, "encoded": encoded,
+                "grad_norm": math.nan}
     total = tn.add(tn.scale(mean_ctc, cfg.lambda_ctc),
                    tn.scale(mean_att, 1.0 - cfg.lambda_ctc))
     if not math.isfinite(total.item()):
@@ -297,7 +355,7 @@ def train_step(model, batch, cfg, opt, use_visual_flags=None):
     opt.zero_grad()
     return {"loss_total": total.item(), "loss_ctc": mean_ctc.item(),
             "loss_att": mean_att.item(), "lr": lr, "skipped": skipped,
-            "grad_norm": opt.grad_norm}
+            "encoded": encoded, "grad_norm": opt.grad_norm}
 
 
 def decode_utterance(model, utt, use_visual, beam=4, max_len=None):
@@ -346,8 +404,8 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
 
     With ``log_path``, each step appends its losses and learning rate to
     that log, which is deterministic, and its timing to ``metrics_path(
-    log_path)``: wall time, skipped utterances, gradient norm and input
-    frames per second."""
+    log_path)``: wall time, skipped utterances, utterances run through the
+    speech encoder, gradient norm and input frames per second."""
     if opt is None:
         opt = Adam(model.named_parameters(), trainable_names(model, cfg),
                    cfg.peak_lr, cfg.warmup, cfg.adam_beta1, cfg.adam_beta2,
@@ -381,6 +439,7 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
                 frames = sum(len(utt.audio) for utt in batch)
                 metrics_f.write(json.dumps({
                     "step": step, "wall_ms": wall * 1e3, "skipped": report["skipped"],
+                    "encoded": report["encoded"],
                     "grad_norm": _json_number(report["grad_norm"]),
                     "frames_per_s": frames / wall}, sort_keys=True) + "\n")
             if (cfg.val_every and valid_utts is not None

@@ -187,6 +187,47 @@ def test_eval_missing_hypothesis_is_data_error(workspace, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tokens", [[1.7], [True], [-3], ["2"], "12", None])
+def test_eval_refuses_hypothesis_tokens_that_are_not_ids(workspace, capsys, tokens):
+    tmp_path, cfg_path = workspace
+    data = str(tmp_path / "corpus")
+    assert run_cli(["gen-data", "--config", cfg_path, "--out", data]) == 0
+    recs = [json.loads(line) for line in open(f"{data}/test.jsonl")]
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text("".join(json.dumps({"id": r["id"], "tokens": tokens if i == 1 else r["ref"]})
+                           + "\n" for i, r in enumerate(recs)))
+    assert run_cli(["eval", "--ref", f"{data}/test.jsonl", "--hyp", str(hyp),
+                    "--vocab", f"{data}/vocab.json", "--out", str(tmp_path / "r.json")]) == 2
+    assert "record 2" in capsys.readouterr().err
+
+
+def test_eval_with_a_malformed_vocab_is_data_error(workspace, capsys):
+    tmp_path, cfg_path = workspace
+    data = tmp_path / "corpus"
+    assert run_cli(["gen-data", "--config", cfg_path, "--out", str(data)]) == 0
+    meta = json.loads((data / "vocab.json").read_text())
+    meta["vocab"]["size"] = "x"
+    (data / "vocab.json").write_text(json.dumps(meta))
+    assert run_cli(["eval", "--ref", f"{data}/test.jsonl", "--hyp", f"{data}/test.jsonl",
+                    "--vocab", f"{data}/vocab.json", "--out", str(tmp_path / "r.json")]) == 2
+    assert "vocab" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train_stage1", "peak_lr", "x"), ("train_stage1", "peak_lr", -1.0),
+    ("train_stage2", "seed", -1), ("train_stage2", "seed", True),
+    ("train_stage1", "adam_beta1", 1.5), ("train_stage2", "lambda_ctc", "x"),
+    ("train_stage2", "freeze_encoder", 1), ("train_stage1", "val_every", -5),
+])
+def test_bad_training_values_in_a_run_config_are_data_errors(tmp_path, capsys, section,
+                                                               key, value):
+    bad = dict(CONFIG, **{section: dict(CONFIG[section], **{key: value})})
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    assert run_cli(["gen-data", "--config", str(p), "--out", str(tmp_path / "c")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_audio_modality_equals_zeroed_visual_branch(workspace, capsys):
     tmp_path, cfg_path = workspace
     data, out = _pipeline(tmp_path, cfg_path)

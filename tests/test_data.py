@@ -361,6 +361,60 @@ def test_token_ids_are_typed_and_in_range(tmp_path, field, value):
         read_split(str(path), vocab)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_frames_are_a_corpus_error(tmp_path, bad):
+    vocab, splits = gen_corpus(SMALL)
+    utt = dataclasses.replace(splits["valid"][1], audio=splits["valid"][1].audio.copy())
+    utt.audio[-1, 2] = bad
+    write_split(str(tmp_path / "bad.jsonl"), [splits["valid"][0], utt])
+    with pytest.raises(CorpusFormatError, match="record 2: .*non-finite"):
+        read_split(str(tmp_path / "bad.jsonl"), vocab)
+
+
+def _vocab_meta():
+    return {"format_version": 1, "vocab": build_vocab(SMALL).to_json()}
+
+
+def _set(path, value):
+    def change(meta):
+        target = meta
+        for key in path[:-1]:
+            target = target[key]
+        if value is KeyError:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return meta
+    return change
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda meta: [meta],  # a top-level list
+    _set(("vocab",), KeyError),
+    _set(("vocab",), [1, 2]),
+    _set(("vocab", "size"), "x"),
+    _set(("vocab", "size"), True),
+    _set(("vocab", "size"), 0),
+    _set(("vocab", "n_background"), 2.5),
+    _set(("vocab", "groups"), [[1, 99]]),
+    _set(("vocab", "groups"), {"a": 1}),
+    _set(("vocab", "prototypes"), [[1.0, 2.0], [3.0]]),
+    _set(("vocab", "prototypes"), [1.0, 2.0]),
+    _set(("vocab", "prototypes"), "x"),
+    _set(("vocab", "token_sound"), [0, 1]),
+    _set(("vocab", "token_sound"), [0.5] * (SMALL.v + 1)),
+    _set(("vocab", "token_sound"), [10**6] * (SMALL.v + 1)),
+    _set(("vocab", "token_sound"), KeyError),
+])
+def test_malformed_vocab_is_a_corpus_format_error(tmp_path, mutate):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(_vocab_meta()))
+    assert read_vocab(str(path)).to_json() == build_vocab(SMALL).to_json()
+    path.write_text(json.dumps(mutate(_vocab_meta())))
+    with pytest.raises(CorpusFormatError):
+        read_vocab(str(path))
+
+
 def test_extreme_valid_ids_are_accepted(tmp_path):
     vocab, splits = gen_corpus(SMALL)
     utt = dataclasses.replace(splits["valid"][0])

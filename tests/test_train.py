@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import random
 import struct
 
@@ -13,7 +14,7 @@ from mmasr import ctc as ctc_module
 from mmasr import tensor as tn
 from mmasr import train as train_module
 from mmasr.ctc import check_feasible, ctc_loss
-from mmasr.data import CorpusConfig, gen_corpus
+from mmasr.data import CorpusConfig, build_vocab, gen_corpus, gen_utterance
 from mmasr.decoder import decoder_forward
 from mmasr.encoder import AudioFeatures, EncoderConfig, ctc_head, encode_audio
 from mmasr.errors import (
@@ -27,11 +28,13 @@ from mmasr.errors import (
     NumericError,
     RecipeError,
 )
+from mmasr.layers import pad_batch
 from mmasr.metrics import EditCounts, align_edit
 from mmasr.model import Model, ModelConfig, make_decoder_config
 from mmasr.tensor import Tensor
 from mmasr.train import (
     Adam,
+    SpeechCache,
     TrainConfig,
     decode_utterance,
     label_smoothed_ce,
@@ -45,6 +48,8 @@ from mmasr.train import (
     utterance_losses,
 )
 from mmasr.visual import VisualFeatures
+
+STAGE1_FIXTURE = pathlib.Path(__file__).resolve().parents[1] / "perfbench/fixtures/stage1.ckpt"
 
 MICRO_CORPUS = CorpusConfig(v=6, n_groups=1, group_size=2, n_background=3,
                             d_in=4, duration_min=2, duration_max=3,
@@ -117,6 +122,18 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(warmup=100.0)
+    for changes in ({"peak_lr": "x"}, {"peak_lr": -1.0}, {"peak_lr": float("inf")},
+                    {"peak_lr": True}, {"lambda_ctc": "x"}, {"lambda_ctc": float("nan")},
+                    {"label_smoothing": 1.0}, {"label_smoothing": 3.0},
+                    {"adam_beta1": 1.5}, {"adam_beta2": 1.0}, {"adam_beta1": -0.1},
+                    {"adam_eps": 0.0}, {"adam_eps": False}, {"p_visual_dropout": "x"},
+                    {"p_visual_dropout": 1.5}, {"seed": -1}, {"seed": True},
+                    {"val_every": -5}, {"val_subset": 1.0}, {"freeze_encoder": 1},
+                    {"freeze_visual": "yes"}):
+        with pytest.raises(ConfigError):
+            TrainConfig(**changes)
+    TrainConfig(peak_lr=0, label_smoothing=0.0, p_visual_dropout=1.0, adam_beta1=0.0,
+                freeze_encoder=True, freeze_visual=True)
 
 
 def test_zero_learning_rate_changes_nothing():
@@ -416,6 +433,7 @@ def test_run_recipe_writes_checkpoints_and_logs(tmp_path):
     assert [r["step"] for r in records] == [1, 2, 3, 4]
     assert all(set(r) == {"step", "loss_total", "loss_ctc", "loss_att", "lr"}
                for r in records)
+    encoded = {}
     for stage in ("stage1", "stage2"):
         path = metrics_path(str(tmp_path / f"{stage}.log"))
         assert path == str(tmp_path / f"{stage}.metrics.jsonl")
@@ -423,8 +441,21 @@ def test_run_recipe_writes_checkpoints_and_logs(tmp_path):
                    for l in open(path).read().splitlines()]
         assert [r["step"] for r in metrics] == [1, 2, 3, 4]
         for r in metrics:
-            assert set(r) == {"step", "wall_ms", "skipped", "grad_norm", "frames_per_s"}
+            assert set(r) == {"step", "wall_ms", "skipped", "encoded", "grad_norm",
+                              "frames_per_s"}
             assert r["wall_ms"] > 0 and r["frames_per_s"] > 0 and r["grad_norm"] > 0
+        encoded[stage] = [r["encoded"] for r in metrics]
+    # Stage 1 encodes every utterance it keeps; stage 2, with the encoder
+    # frozen, only the utterances it has not drawn before.
+    assert encoded["stage1"] == [2, 2, 2, 2]
+    rng = np.random.default_rng(np.random.SeedSequence([c2.seed, 3]))
+    seen, first_draws = set(), []
+    for _ in range(4):
+        drawn = {int(i) for i in rng.integers(0, len(splits["train"]), 2)}
+        rng.random(2)
+        first_draws.append(len(drawn - seen))
+        seen |= drawn
+    assert encoded["stage2"] == first_draws and sum(first_draws) < 8
     # stage 2 froze the encoder: stage-1 and stage-2 encoders agree bitwise
     m1, _, _, _ = load_checkpoint(str(tmp_path / "stage1.ckpt"))
     m2, _, _, _ = load_checkpoint(str(tmp_path / "stage2.ckpt"))
@@ -698,7 +729,8 @@ def test_adam_arena_edge_cases():
 def test_frozen_encoder_outputs_take_no_gradient():
     """Stage 2 passes the frozen features and CTC loss as constants: no leaf
     but a parameter holds a gradient, and the parameter gradients equal
-    those of a graph that also differentiates the encoder."""
+    those of a graph that also differentiates the encoder, up to the float32
+    rounding of the cached features."""
     _, splits = gen_corpus(MICRO_CORPUS)
     model = micro_model(seed=2)
     params = model.named_parameters()
@@ -718,7 +750,7 @@ def test_frozen_encoder_outputs_take_no_gradient():
     frozen, full = grads
     assert frozen and not any(n.startswith("encoder.") or n == "ctc_w" for n in frozen)
     for name, g in frozen.items():
-        assert g.tobytes() == full[name].tobytes(), name
+        assert np.max(np.abs(g - full[name])) <= 1e-5 * np.max(np.abs(full[name])), name
 
 
 def _header_paths(node, path=()):
@@ -829,3 +861,136 @@ def test_gradients_taken_without_a_copy_match_the_copying_accumulation(stage, mo
             opt.step()
         runs.append(grads)
     assert runs[0] == runs[1]
+
+
+FROZEN = TrainConfig(stage="fusion", freeze_encoder=True)
+
+
+@pytest.mark.parametrize("source", ["micro", "stage-1 fixture"])
+def test_speech_cache_entries_are_each_utterance_encoded_alone(source):
+    """Each cached feature block is bitwise the utterance's features encoded
+    alone, rounded to float32, and within float32 rounding of its in-batch
+    features; each cached CTC loss is within 1e-12 of its in-batch row."""
+    if source == "micro":
+        model = _subsampling_model(seed=7)
+        utts = gen_corpus(MICRO_CORPUS)[1]["train"]
+    else:  # criterion 6's first 200 training utterances
+        model, _, _, _ = load_checkpoint(str(STAGE1_FIXTURE))
+        corpus = CorpusConfig(seed=2024)
+        vocab = build_vocab(corpus)
+        utts = [gen_utterance(corpus, vocab, "train", i) for i in range(200)]
+    utts = [u for u in utts if _feasible(model, u)]
+    assert len(utts) >= (14 if source == "micro" else 200)
+    cache = SpeechCache()
+    for start in range(0, len(utts), 8):
+        batch = utts[start : start + 8]
+        feats, mean_ctc = cache.batch(model, batch)
+        with tn.no_grad():
+            frames, raw = pad_batch([u.audio for u in batch], dtype=np.float64)
+            in_batch = encode_audio(frames, model.cfg.encoder, model.encoder, raw)
+            rows_ctc = ctc_loss(ctc_head(in_batch, model.ctc_w), [u.ref for u in batch],
+                                in_batch.lengths).data
+        assert feats.frames.dtype == np.float64 and feats.t_len == in_batch.t_len
+        assert feats.lengths.tolist() == in_batch.lengths.tolist()
+        losses = []
+        for utt, row, n, want_ctc, got in zip(batch, feats.frames, feats.lengths, rows_ctc,
+                                              in_batch.frames.data):
+            with tn.no_grad():
+                alone = encode_audio(np.asarray(utt.audio, dtype=np.float64),
+                                     model.cfg.encoder, model.encoder).frames.data
+            assert row[:n].tobytes() == alone.astype("<f4").astype(np.float64).tobytes()
+            assert not np.any(row[n:])
+            assert np.all(np.abs(row[:n] - got[:n]) <= 2.0**-24 * np.abs(got[:n]))
+            _, loss = cache.batch(model, [utt])
+            assert abs(loss - want_ctc) <= 1e-12
+            losses.append(float(loss))
+        assert float(mean_ctc) == np.sum(losses) * (1.0 / len(batch))
+    assert cache.encoded == len(cache.entries) == len(utts)
+
+
+def test_speech_cache_keys_on_content():
+    _, splits = gen_corpus(MICRO_CORPUS)
+    model = micro_model(seed=3)
+    utt = splits["train"][0]
+    cache = SpeechCache()
+    cache.batch(model, [utt, utt])
+    cache.batch(model, [dataclasses.replace(utt, uid="valid-00000")])
+    assert cache.encoded == 1
+    cache.batch(model, [dataclasses.replace(utt, ref=utt.ref[:-1])])
+    cache.batch(model, [dataclasses.replace(utt, audio=utt.audio * 0.5)])
+    assert cache.encoded == 3
+
+
+def _same_values(model):
+    """A model with fresh objects and an empty cache, holding copies of
+    ``model``'s parameter values."""
+    fresh = Model.blank(model.cfg)
+    params = model.named_parameters()
+    for name, t in fresh.named_parameters().items():
+        t.data = params[name].data.copy()
+    return fresh
+
+
+def _frozen_losses(model, batch):
+    l_ctc, l_att, _ = utterance_losses(model, batch, [True] * len(batch), FROZEN)
+    return float(l_ctc), l_att.item()
+
+
+@pytest.mark.parametrize("change", ["write in place", "rebind ctc_w", "unfrozen Adam"])
+def test_speech_cache_never_serves_a_stale_entry(change):
+    """After each change to the frozen parameters, a frozen step equals the
+    step of a fresh model with the same values."""
+    _, splits = gen_corpus(MICRO_CORPUS)
+    model = _subsampling_model(seed=8)
+    batch = [u for u in splits["train"] if _feasible(model, u)][:4]
+    before = _frozen_losses(model, batch)
+    assert model.speech_cache.encoded == 4
+    if change == "write in place":  # the frozen arrays are read-only
+        with pytest.raises(ValueError):
+            model.encoder.blocks[0].ffn1.w1.data *= 0.5
+    elif change == "rebind ctc_w":
+        model.ctc_w.data = model.ctc_w.data * 0.5
+    else:  # binds every parameter into its arena, then changes them there
+        cfg = TrainConfig(stage="fusion", peak_lr=1e-2, warmup=1)
+        opt = Adam(model.named_parameters(), trainable_names(model, cfg), cfg.peak_lr,
+                   cfg.warmup)
+        assert train_step(model, batch, cfg, opt)["encoded"] == 4
+    after = _frozen_losses(model, batch)
+    assert after == _frozen_losses(_same_values(model), batch)
+    if change == "write in place":
+        assert after == before and model.speech_cache.encoded == 4
+    else:
+        assert after[0] != before[0] and model.speech_cache.encoded == 8
+
+
+def test_stage2_resume_rebuilds_the_speech_cache_bitwise(tmp_path):
+    """Two 10-step stage-2 runs write the same log bytes, and 5 steps, a
+    checkpoint, a load and 5 more steps give the same log and parameters."""
+    _, splits = gen_corpus(MICRO_CORPUS)
+    cfg = TrainConfig(stage="fusion", freeze_encoder=True, max_steps=10, batch_size=4,
+                      seed=2, peak_lr=1e-2, warmup=3)
+
+    def from_stage1():
+        model = _subsampling_model(seed=9)
+        model.reinit_fusion(cfg.seed)
+        return model
+
+    logs = []
+    for name in ("a.log", "b.log"):
+        cont = from_stage1()
+        run_stage(cont, splits["train"], cfg, log_path=str(tmp_path / name))
+        logs.append((tmp_path / name).read_bytes())
+    assert logs[0] == logs[1]
+    half = from_stage1()
+    log = str(tmp_path / "resumed.log")
+    opt, rng, _ = run_stage(half, splits["train"], dataclasses.replace(cfg, max_steps=5),
+                            log_path=log)
+    save_checkpoint(str(tmp_path / "mid.ckpt"), half, opt, 5, rng)
+    resumed, opt2, step, rng_state = load_checkpoint(str(tmp_path / "mid.ckpt"))
+    assert resumed.speech_cache is None
+    rng2 = np.random.default_rng()
+    rng2.bit_generator.state = rng_state
+    run_stage(resumed, splits["train"], cfg, log_path=log, opt=opt2, rng=rng2, start_step=step)
+    assert resumed.speech_cache.encoded > 0
+    assert model_bytes(resumed) == model_bytes(cont)
+    assert (tmp_path / "resumed.log").read_bytes() == logs[0]
