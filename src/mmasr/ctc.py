@@ -1,5 +1,5 @@
-"""CTC loss via the log-space forward-backward recursions, greedy decoding,
-and a brute-force alignment-enumeration oracle for testing.
+"""CTC loss via the log-space forward-backward recursions, and a
+brute-force alignment-enumeration oracle for testing.
 
 Blank is token id 0 everywhere.
 """
@@ -157,9 +157,3 @@ def ctc_brute_force(log_probs, labels, max_t=8, max_v=4):
         return math.inf
     m = max(terms)
     return -(m + math.log(sum(math.exp(x - m) for x in terms)))
-
-
-def ctc_greedy(log_probs):
-    """Per-frame argmax, collapse repeats, drop blanks. Ties go to the lower id."""
-    lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
-    return collapse(lp.argmax(axis=1).tolist())

@@ -21,7 +21,6 @@ from .layers import (
     Mask,
     attention,
     embed,
-    feed_forward,
     init_attention_params,
     key_mask,
 )
@@ -165,11 +164,10 @@ def decoder_forward(targets_in, t_feats, i_feats, cfg, params, lengths=None):
         mask = Mask(mask.allowed & keys.allowed)
     for block in params.blocks:
         h = _ln(x, block.ln_self)
-        x = tn.add(x, attention(h, h, h, block.self_attn, mask=mask))
+        x = attention(h, h, h, block.self_attn, mask=mask, residual=x)
         h = _ln(x, block.ln_cross)
         x = tn.add(x, dual_cross_attention(h, t_feats, i_feats, block.cross))
-        h = _ln(x, block.ln_ffn)
-        x = tn.add(x, feed_forward(h, block.ffn.w1, block.ffn.w2))
+        x = tn.feed_forward(x, _ln(x, block.ln_ffn), block.ffn.w1, block.ffn.w2, 1.0)
     x = _ln(x, params.ln_out)
     return tn.matmul(x, params.out_w)
 

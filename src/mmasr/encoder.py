@@ -16,8 +16,6 @@ from .errors import ConfigError, ContractError, check_int
 from .layers import (
     AttentionParams,
     attention,
-    conv_module,
-    feed_forward,
     init_attention_params,
     key_mask,
     layer_norm,
@@ -144,15 +142,12 @@ def encoder_block(x, p, mask=None, frame_mask=None):
     padded frames of the conv-module input, so the convolution sees the
     same zero padding at a row's end as it does for that row alone.
     """
-    x = tn.add(x, tn.scale(feed_forward(_ln(x, p.ln_ffn1), p.ffn1.w1, p.ffn1.w2), 0.5))
+    x = tn.feed_forward(x, _ln(x, p.ln_ffn1), p.ffn1.w1, p.ffn1.w2, 0.5)
     h = _ln(x, p.ln_attn)
-    x = tn.add(x, attention(h, h, h, p.attn, mask=mask))
-    h = _ln(x, p.ln_conv)
-    if frame_mask is not None:
-        h = tn.mul(h, frame_mask)
-    x = tn.add(x, conv_module(h, p.conv.kernel, w_in=p.conv.w_in, w_out=p.conv.w_out,
-                              act=tn.silu))
-    x = tn.add(x, tn.scale(feed_forward(_ln(x, p.ln_ffn2), p.ffn2.w1, p.ffn2.w2), 0.5))
+    x = attention(h, h, h, p.attn, mask=mask, residual=x)
+    x = tn.conv_module(x, _ln(x, p.ln_conv), p.conv.w_in, p.conv.kernel, p.conv.w_out,
+                       frame_mask)
+    x = tn.feed_forward(x, _ln(x, p.ln_ffn2), p.ffn2.w1, p.ffn2.w2, 0.5)
     return _ln(x, p.ln_out)
 
 

@@ -21,8 +21,6 @@ from .encoder import (
 from .layers import (
     Mask,
     attention,
-    conv_module,
-    feed_forward,
     init_attention_params,
     layer_norm,
 )
@@ -98,40 +96,43 @@ def check_self_attention(rng, eps):
     return max(errs)
 
 
+def _operand_errs(fwd, operands, rng, eps):
+    """Gradient errors of a random functional of ``fwd(*operands)`` in each
+    operand, the first as an input and the rest as parameters."""
+    reduce = _weighted_sum(fwd(*operands), rng)
+    first, rest = operands[0], operands[1:]
+    errs = [tn.grad_check(lambda t: reduce(fwd(t, *rest)), first, eps)]
+    for p in rest:
+        errs.append(param_grad_check(lambda: reduce(fwd(*operands)), p, eps))
+    return errs
+
+
 def check_layer_norm(rng, eps):
     l, d = 3, 5
-    x, g, b = _rand(rng, l, d), _rand(rng, d), _rand(rng, d)
-    reduce = _weighted_sum(layer_norm(x, g, b), rng)
-    errs = [tn.grad_check(lambda t: reduce(layer_norm(t, g, b)), x, eps),
-            param_grad_check(lambda: reduce(layer_norm(x, g, b)), g, eps),
-            param_grad_check(lambda: reduce(layer_norm(x, g, b)), b, eps)]
-    return max(errs)
+    return max(_operand_errs(layer_norm, (_rand(rng, l, d), _rand(rng, d), _rand(rng, d)),
+                             rng, eps))
 
 
 def check_feed_forward(rng, eps):
     l, d, d_ff = 3, 4, 6
     x, w1, w2 = _rand(rng, l, d), _rand(rng, d, d_ff), _rand(rng, d_ff, d)
-    reduce = _weighted_sum(feed_forward(x, w1, w2), rng)
     # ReLU kinks: nudge activations away from zero for a clean check.
     w1.data += 0.05 * np.sign(w1.data)
-    errs = [tn.grad_check(lambda t: reduce(feed_forward(t, w1, w2)), x, eps),
-            param_grad_check(lambda: reduce(feed_forward(x, w1, w2)), w1, eps),
-            param_grad_check(lambda: reduce(feed_forward(x, w1, w2)), w2, eps)]
-    return max(errs)
+    c = float(rng.choice([0.5, 1.0]))
+    return max(_operand_errs(lambda x_, r, *w: tn.feed_forward(r, x_, *w, c),
+                             (x, _rand(rng, l, d), w1, w2), rng, eps))
 
 
 def check_conv_module(rng, eps):
-    l, d, width = 5, 4, 3
-    x = _rand(rng, l, d)
-    kernel, w_in, w_out = _rand(rng, width, d), _rand(rng, d, d), _rand(rng, d, d)
-
-    def fwd(inp):
-        return conv_module(inp, kernel, w_in=w_in, w_out=w_out, act=tn.silu)
-
-    reduce = _weighted_sum(fwd(x), rng)
-    errs = [tn.grad_check(lambda t: reduce(fwd(t)), x, eps)]
-    for p in (kernel, w_in, w_out):
-        errs.append(param_grad_check(lambda: reduce(fwd(x)), p, eps))
+    """One sequence without a frame mask, then a batch of two rows, the
+    second padded, with one."""
+    d, width = 4, 3
+    weights = (_rand(rng, d, d), _rand(rng, width, d), _rand(rng, d, d))  # w_in, kernel, w_out
+    padding = (np.arange(5) < np.array([[5], [3]]))[..., None].astype(np.float64)
+    errs = []
+    for shape, frame_mask in (((5, d), None), ((2, 5, d), padding)):
+        errs += _operand_errs(lambda x, r, *w, m=frame_mask: tn.conv_module(r, x, *w, m),
+                              (_rand(rng, *shape), _rand(rng, *shape)) + weights, rng, eps)
     return max(errs)
 
 

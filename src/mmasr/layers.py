@@ -1,5 +1,8 @@
-"""Neural building blocks: multi-head attention, layer norm, feed-forward,
-depthwise convolution module, and token embedding with sinusoidal positions.
+"""Neural building blocks: multi-head attention, layer norm, and token
+embedding with sinusoidal positions. The feed-forward and convolution
+modules are single tensor nodes (``tensor.feed_forward``,
+``tensor.conv_module``) that the encoder, decoder and visual encoder call
+directly.
 """
 
 from __future__ import annotations
@@ -89,14 +92,15 @@ def init_attention_params(d_model, n_heads, rng):
     )
 
 
-def attention(q, k, v, params, mask=None):
+def attention(q, k, v, params, mask=None, residual=None):
     """Multi-head scaled dot-product attention with projected q/k/v.
 
     ``q`` is [..., L_q x d_model] and ``k``, ``v`` are [..., L_k x d_model]
     with the same leading axes. Masked positions get an additive -1e9
     penalty before the softmax; ``mask.allowed`` broadcasts to
     [..., L_q x L_k], and a query row with no visible key is a contract
-    violation. ``k`` and ``v`` may be numpy constants.
+    violation. ``k`` and ``v`` may be numpy constants. A ``residual`` of
+    q's shape is added to the output.
     """
     q_shape, k_shape = q.shape, k.shape
     lead, (L_q, d_model), L_k = q_shape[:-2], q_shape[-2:], k_shape[-2]
@@ -122,7 +126,7 @@ def attention(q, k, v, params, mask=None):
         if penalty.ndim > 2:
             penalty = penalty[..., None, :, :]  # the same for every head
     weights = (params.w_q, params.w_k, params.w_v, params.w_o)
-    return tn.attention(q, k, v, weights, params.n_heads, penalty)
+    return tn.attention(q, k, v, weights, params.n_heads, penalty, residual)
 
 
 def _broadcasts(shape, target):
@@ -138,35 +142,6 @@ def layer_norm(x, gamma, beta, eps=LAYER_NORM_EPS):
     if gamma.shape != (d,) and gamma.shape != (1, d):
         raise ShapeError(f"gamma shape {gamma.shape} does not match d={d}")
     return tn.layer_norm(x, gamma, beta, eps)
-
-
-def feed_forward(x, w1, w2):
-    """Position-wise two-layer ReLU network; residual is the caller's job."""
-    return tn.feed_forward(x, w1, w2)
-
-
-def depthwise_conv(x, kernel):
-    """Per-channel 1-D convolution along axis -2 with zero padding; kernel
-    is [width x d]."""
-    width = kernel.shape[0]
-    if width % 2 == 0:
-        raise ConfigError(f"conv width must be odd, got {width}")
-    if kernel.shape[1] != x.shape[-1]:
-        raise ShapeError(f"kernel channels {kernel.shape[1]} != d {x.shape[-1]}")
-    return tn.shift_sum(x, kernel)
-
-
-def conv_module(x, kernel, w_in=None, w_out=None, act=None):
-    """Pointwise -> depthwise -> pointwise convolution block.
-
-    With no pointwise weights and no activation a centered delta kernel is
-    the identity; the encoder wires in SiLU and both pointwise projections.
-    """
-    h = tn.matmul(x, w_in) if w_in is not None else x
-    h = depthwise_conv(h, kernel)
-    if act is not None:
-        h = act(h)
-    return tn.matmul(h, w_out) if w_out is not None else h
 
 
 def sinusoidal_positions(length, d):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 _grad_enabled = True
 
@@ -55,11 +55,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def check_finite(self, what="tensor"):
-        if not np.all(np.isfinite(self.data)):
-            raise NumericError(f"{what} contains non-finite values")
-        return self
 
     def backward(self):
         if self.data.size != 1:
@@ -237,21 +232,10 @@ def sum_all(a):
     return out
 
 
-def silu(a):
-    a = as_tensor(a)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(a.data * sig, (a,))
-
-    def backward(g):
-        _accum(a, g * (sig + a.data * sig * (1.0 - sig)))
-
-    _register(out, backward)
-    return out
-
-
 def log_softmax_rows(x):
     x = as_tensor(x)
-    x.check_finite("log_softmax input")
+    if not np.all(np.isfinite(x.data)):
+        raise NumericError("log_softmax input contains non-finite values")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
@@ -264,7 +248,7 @@ def log_softmax_rows(x):
     return out
 
 
-def attention(q, k, v, weights, n_heads, penalty=None):
+def attention(q, k, v, weights, n_heads, penalty=None, residual=None):
     """Multi-head scaled dot-product attention (Vaswani et al. 2017) as one node.
 
     ``q`` is [..., L_q x d] and ``k``, ``v`` are [..., L_k x d] with the same
@@ -274,7 +258,8 @@ def attention(q, k, v, weights, n_heads, penalty=None):
     to the scaled scores before the softmax. When ``q is k is v`` the three
     input projections are one GEMM against the weights side by side, and
     so are their backward products. A ``k`` or ``v`` that is not a Tensor
-    is a constant, as in add: no input gradient is computed for it.
+    is a constant, as in add: no input gradient is computed for it. A
+    ``residual`` Tensor of q's shape is added to the output.
     """
     w_q, w_k, w_v, w_o = weights
     kd, vd = _value(k), _value(v)
@@ -306,9 +291,15 @@ def attention(q, k, v, weights, n_heads, penalty=None):
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     merged = np.transpose(np.matmul(probs, vh), swap).reshape(-1, d)  # [N x d]
-    out = Tensor((merged @ w_o.data).reshape(lead + (L_q, d)), _inputs(q, k, v) + list(weights))
+    y = (merged @ w_o.data).reshape(lead + (L_q, d))
+    out = Tensor(y if residual is None else residual.data + y,
+                 _inputs(residual, q, k, v) + list(weights))
 
     def backward(g):
+        if residual is not None:
+            # As in add, the residual takes ``g`` itself; ``g`` is read only
+            # before any other input's gradient is accumulated.
+            _accum(residual, g)
         g_rows = g.reshape(-1, d)
         _accum(w_o, merged.T @ g_rows)
         g_heads = np.transpose((g_rows @ w_o.data.T).reshape(lead + (L_q, n_heads, d_k)), swap)
@@ -360,17 +351,18 @@ def layer_norm(x, gamma, beta, eps):
     return out
 
 
-def feed_forward(x, w1, w2):
-    """relu(x @ w1) @ w2 over the last axis, as one node."""
+def feed_forward(residual, x, w1, w2, c):
+    """residual + c * relu(x @ w1) @ w2 over the last axis, as one node."""
     xd = x.data
     rows = xd.reshape(-1, xd.shape[-1])
     pre = rows @ w1.data
     hidden = np.maximum(pre, 0.0)
-    out = Tensor((hidden @ w2.data).reshape(xd.shape[:-1] + (w2.data.shape[1],)),
-                 (x, w1, w2))
+    y = (hidden @ w2.data).reshape(xd.shape[:-1] + (w2.data.shape[1],))
+    out = Tensor(residual.data + y * c, (residual, x, w1, w2))
 
     def backward(g):
-        g_rows = g.reshape(-1, g.shape[-1])
+        _accum(residual, g)  # read only before x's gradient, as in attention
+        g_rows = (g * c).reshape(-1, g.shape[-1])
         _accum(w2, hidden.T @ g_rows)
         g_pre = (g_rows @ w2.data.T) * (pre > 0.0)
         _accum(w1, rows.T @ g_pre)
@@ -380,30 +372,48 @@ def feed_forward(x, w1, w2):
     return out
 
 
-def shift_sum(x, kernel):
-    """Zero-padded depthwise convolution along axis -2 as one node.
+def conv_module(residual, x, w_in, kernel, w_out, frame_mask=None):
+    """residual + silu(depthwise(x @ w_in)) @ w_out along axis -2, as one node.
 
-    ``x`` is [..., L x d] and ``kernel`` [width x d] with odd width; output
-    row t is sum_j x[t + j - width // 2] * kernel[j], rows outside x being
-    zero.
+    ``x`` is [..., L x d]. ``frame_mask`` (a constant broadcastable to x, 1
+    on valid frames and 0 on padding) zeroes x before ``w_in``, so padded
+    frames get no gradient. The depthwise convolution takes ``kernel``
+    [width x d] with odd width: row t is sum_j h[t + j - width // 2] *
+    kernel[j], rows outside h being zero. SiLU is h * sigmoid(h).
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    width, (L, d) = kernel.data.shape[0], x.data.shape[-2:]
-    half = width // 2
-    padded = np.pad(x.data, ((0, 0),) * (x.data.ndim - 2) + ((half, half), (0, 0)))
-    y = np.zeros_like(x.data)
+    width, d = kernel.data.shape
+    if width % 2 == 0:
+        raise ConfigError(f"conv width must be odd, got {width}")
+    if w_in.data.shape[1] != d:
+        raise ShapeError(f"kernel channels {d} != w_in output width {w_in.data.shape[1]}")
+    xd = x.data if frame_mask is None else x.data * frame_mask
+    lead, L, half = xd.shape[:-2], xd.shape[-2], width // 2
+    rows = xd.reshape(-1, xd.shape[-1])
+    padded = np.pad((rows @ w_in.data).reshape(lead + (L, d)),
+                    ((0, 0),) * len(lead) + ((half, half), (0, 0)))
+    h = np.zeros(lead + (L, d))
     for j in range(width):
-        y += padded[..., j : j + L, :] * kernel.data[j]
-    out = Tensor(y, (x, kernel))
+        h += padded[..., j : j + L, :] * kernel.data[j]
+    sig = 1.0 / (1.0 + np.exp(-h))
+    act = (h * sig).reshape(-1, d)
+    out = Tensor(residual.data + (act @ w_out.data).reshape(lead + (L, w_out.data.shape[1])),
+                 (residual, x, w_in, kernel, w_out))
 
     def backward(g):
+        _accum(residual, g)  # read only before x's gradient, as in attention
+        g_rows = g.reshape(-1, g.shape[-1])
+        _accum(w_out, act.T @ g_rows)
+        g_h = (g_rows @ w_out.data.T).reshape(h.shape) * (sig + h * sig * (1.0 - sig))
         g_padded = np.zeros_like(padded)
         g_kernel = np.empty_like(kernel.data)
         for j in range(width):
-            g_padded[..., j : j + L, :] += g * kernel.data[j]
-            g_kernel[j] = (g * padded[..., j : j + L, :]).reshape(-1, d).sum(axis=0)
-        _accum(x, g_padded[..., half : half + L, :])
+            g_padded[..., j : j + L, :] += g_h * kernel.data[j]
+            g_kernel[j] = (g_h * padded[..., j : j + L, :]).reshape(-1, d).sum(axis=0)
         _accum(kernel, g_kernel)
+        g_in = g_padded[..., half : half + L, :].reshape(-1, d)
+        _accum(w_in, rows.T @ g_in)
+        g_x = (g_in @ w_in.data.T).reshape(xd.shape)
+        _accum(x, g_x if frame_mask is None else g_x * frame_mask)
 
     _register(out, backward)
     return out

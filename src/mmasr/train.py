@@ -57,7 +57,6 @@ class TrainConfig:
     max_steps: int = 500
     seed: int = 0
     freeze_encoder: bool = False
-    freeze_visual: bool = False
     label_smoothing: float = 0.1
     p_visual_dropout: float = 0.15
     adam_beta1: float = 0.9
@@ -79,9 +78,8 @@ class TrainConfig:
         for name, minimum in (("warmup", 0), ("batch_size", 1), ("max_steps", 0),
                               ("seed", 0), ("val_every", 0), ("val_subset", 0)):
             check_int(name, getattr(self, name), minimum)
-        for name in ("freeze_encoder", "freeze_visual"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.freeze_encoder, bool):
+            raise ConfigError(f"freeze_encoder must be true or false, got {self.freeze_encoder!r}")
 
 
 # Adam updates its flat arrays in slices of this many elements. The
@@ -212,8 +210,6 @@ def trainable_names(model, cfg):
             continue
         if cfg.stage == "audio_only" and _is_fusion_param(n):
             continue
-        if cfg.freeze_visual and n.startswith("visual."):
-            continue
         out.append(n)
     return out
 
@@ -319,7 +315,7 @@ def utterance_losses(model, batch, use_visual_flags, cfg):
                                    [utt.ref for utt in utts], feats.lengths)
         loss_ctc = tn.scale(tn.sum_all(per_utt), 1.0 / len(utts))
     ocr, ocr_lengths = pad_batch([utt.ocr if use_visual else [] for utt, use_visual in kept])
-    vis = encode_visual(ocr, model.visual, frozen=cfg.freeze_visual, lengths=ocr_lengths)
+    vis = encode_visual(ocr, model.visual, lengths=ocr_lengths)
     targets_in, n_in = pad_batch([[dec_cfg.bos_id] + list(utt.ref) for utt in utts])
     targets_out, _ = pad_batch([list(utt.ref) + [dec_cfg.eos_id] for utt in utts])
     logits = decoder_forward(targets_in, feats, vis, dec_cfg, model.decoder, lengths=n_in)

@@ -18,7 +18,6 @@ from .layers import (
     AttentionParams,
     attention,
     embed,
-    feed_forward,
     init_attention_params,
     key_mask,
 )
@@ -85,6 +84,6 @@ def _forward(tokens, params, lengths):
     x = embed(tokens, params.embed)
     h = _ln(x, params.ln_attn)
     # A row without tokens attends to its padding; the decoder discards it.
-    x = tn.add(x, attention(h, h, h, params.attn, mask=key_mask(lengths, i_len)))
-    x = tn.add(x, feed_forward(_ln(x, params.ln_ffn), params.ffn.w1, params.ffn.w2))
+    x = attention(h, h, h, params.attn, mask=key_mask(lengths, i_len), residual=x)
+    x = tn.feed_forward(x, _ln(x, params.ln_ffn), params.ffn.w1, params.ffn.w2, 1.0)
     return VisualFeatures(frames=x, i_len=i_len, lengths=lengths)

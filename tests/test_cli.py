@@ -64,6 +64,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_a_run_config_that_sets_freeze_visual_is_rejected(tmp_path, capsys):
+    # The visual encoder is frozen only by decoding; a run config cannot ask for it.
+    bad = dict(CONFIG, train_stage2=dict(CONFIG["train_stage2"], freeze_visual=True))
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    assert run_cli(["train", "--config", str(p), "--stage", "2", "--data", str(tmp_path / "c"),
+                    "--out", str(tmp_path / "run")]) == 2
+    assert "freeze_visual" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("changes", [
     {"n_train": -5}, {"n_train": True}, {"noise_sigma": -1.0}, {"seed": -1},
     {"n_train": 2.5}, {"noise_sigma": "x"}, {"v": 0, "n_groups": 0},

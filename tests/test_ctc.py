@@ -12,7 +12,6 @@ from mmasr.ctc import (
     collapse,
     count_repeats,
     ctc_brute_force,
-    ctc_greedy,
     ctc_loss,
 )
 from mmasr.errors import FeasibilityError, NumericError, OracleSizeError
@@ -112,24 +111,6 @@ def test_greedy_collapse_rules():
     assert collapse([BLANK, BLANK]) == []
     assert collapse([1, 1, BLANK, 1]) == [1, 1]
     assert collapse([BLANK, 2, 2, BLANK, 2, 1]) == [2, 2, 1]
-
-
-def second_greedy(lp):
-    """Independent greedy decoder: explicit loop with its own collapse."""
-    out, prev = [], None
-    for row in np.asarray(lp):
-        tok = int(np.argmin([-x for x in row]))  # argmax, ties to lowest id
-        if tok != prev and tok != BLANK:
-            out.append(tok)
-        prev = tok
-    return out
-
-
-def test_greedy_matches_second_implementation():
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        lp = rand_log_probs(int(rng.integers(1, 9)), int(rng.integers(1, 5)), rng)
-        assert ctc_greedy(lp) == second_greedy(lp.data)
 
 
 def test_oracle_size_bounds():

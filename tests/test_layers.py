@@ -9,10 +9,7 @@ from mmasr.layers import (
     AttentionParams,
     Mask,
     attention,
-    conv_module,
-    depthwise_conv,
     embed,
-    feed_forward,
     init_attention_params,
     layer_norm,
     sinusoidal_positions,
@@ -258,52 +255,71 @@ def test_layer_norm_centers_rows():
 
 
 def test_feed_forward_zero_and_identity():
-    x = RNG.standard_normal((3, 4))
-    zero = feed_forward(Tensor(x), Tensor(np.zeros((4, 6))), Tensor(np.zeros((6, 4)))).data
-    assert np.array_equal(zero, np.zeros((3, 4)))
+    x, residual = RNG.standard_normal((3, 4)), Tensor(RNG.standard_normal((3, 4)))
+    zero = tn.feed_forward(residual, Tensor(x), Tensor(np.zeros((4, 6))),
+                           Tensor(np.zeros((6, 4))), 0.5).data
+    assert np.array_equal(zero, residual.data)
     pos = np.abs(x)
-    out = feed_forward(Tensor(pos), Tensor(np.eye(4)), Tensor(np.eye(4))).data
+    out = tn.feed_forward(Tensor(np.zeros((3, 4))), Tensor(pos), Tensor(np.eye(4)),
+                          Tensor(np.eye(4)), 1.0).data
     assert np.array_equal(out, pos)
 
 
 def test_feed_forward_loop_oracle():
-    x = RNG.standard_normal((3, 4))
+    x, residual = RNG.standard_normal((3, 4)), RNG.standard_normal((3, 4))
     w1 = RNG.standard_normal((4, 6))
     w2 = RNG.standard_normal((6, 4))
-    got = feed_forward(Tensor(x), Tensor(w1), Tensor(w2)).data
-    expected = np.maximum(x @ w1, 0.0) @ w2
+    got = tn.feed_forward(Tensor(residual), Tensor(x), Tensor(w1), Tensor(w2), 0.5).data
+    expected = residual.copy()
+    for t in range(3):
+        for j in range(4):
+            expected[t, j] += 0.5 * sum(max(x[t] @ w1[:, k], 0.0) * w2[k, j] for k in range(6))
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+def _conv(x, kernel, residual=None):
+    """The conv module with identity projections: residual + silu(depthwise(x))."""
+    eye = Tensor(np.eye(x.shape[-1]))
+    residual = Tensor(np.zeros(x.shape)) if residual is None else residual
+    return tn.conv_module(residual, Tensor(x), eye, Tensor(kernel), eye).data
+
+
+def _silu(h):
+    return h * (1.0 / (1.0 + np.exp(-h)))
+
+
 def test_conv_delta_kernel_is_identity():
-    x = Tensor(RNG.standard_normal((6, 3)))
+    # A centered delta kernel is the identity, leaving the SiLU.
+    x = RNG.standard_normal((6, 3))
     kernel = np.zeros((5, 3))
-    kernel[2, :] = 1.0  # centered delta
-    assert np.array_equal(conv_module(x, Tensor(kernel)).data, x.data)
+    kernel[2, :] = 1.0
+    assert np.array_equal(_conv(x, kernel), _silu(x))
 
 
 def test_conv_zero_kernel():
-    x = Tensor(RNG.standard_normal((4, 3)))
-    assert np.array_equal(depthwise_conv(x, Tensor(np.zeros((3, 3)))).data,
-                          np.zeros((4, 3)))
+    # The zero kernel leaves the residual: SiLU(0) is 0.
+    residual = Tensor(RNG.standard_normal((4, 3)))
+    assert np.array_equal(_conv(RNG.standard_normal((4, 3)), np.zeros((3, 3)), residual),
+                          residual.data)
 
 
 def test_conv_width3_sliding_window_oracle():
     L, d = 6, 2
     x = RNG.standard_normal((L, d))
     kernel = RNG.standard_normal((3, d))
-    got = depthwise_conv(Tensor(x), Tensor(kernel)).data
     padded = np.vstack([np.zeros((1, d)), x, np.zeros((1, d))])
     expected = np.zeros((L, d))
     for t in range(L):
         for j in range(3):
             expected[t] += padded[t + j] * kernel[j]
-    assert np.max(np.abs(got - expected)) < 1e-12
+    assert np.max(np.abs(_conv(x, kernel) - _silu(expected))) < 1e-12
 
 
 def test_conv_even_width_rejected():
     with pytest.raises(ConfigError):
-        depthwise_conv(Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))))
+        _conv(np.zeros((4, 2)), np.zeros((4, 2)))
+    with pytest.raises(ShapeError):
+        _conv(np.zeros((4, 2)), np.zeros((3, 3)))
 
 
 def test_embed_empty_sequence():

@@ -186,8 +186,15 @@ def test_no_grad_records_no_graph():
 
 
 def test_silu_grad():
-    x = RNG.standard_normal((3, 3))
-    assert tn.grad_check(lambda t: tn.sum_all(tn.silu(t)), x) < 1e-6
+    # With identity projections, a centered delta kernel and a zero residual,
+    # the conv module is SiLU alone.
+    x, eye, delta = RNG.standard_normal((3, 3)), Tensor(np.eye(3)), np.zeros((3, 3))
+    delta[1] = 1.0
+    zero = Tensor(np.zeros((3, 3)))
+    silu = tn.conv_module(zero, Tensor(x), eye, Tensor(delta), eye)
+    assert np.max(np.abs(silu.data - x / (1.0 + np.exp(-x)))) < 1e-12
+    assert tn.grad_check(lambda t: tn.sum_all(
+        tn.conv_module(zero, t, eye, Tensor(delta), eye)), x) < 1e-6
 
 
 def _grad_check_weighted(f, x):
@@ -249,24 +256,132 @@ def test_feed_forward_node_matches_numpy_oracle():
     for shape in ((4, 5), (2, 3, 5)):
         x, g = RNG.standard_normal(shape), RNG.standard_normal(shape)
         w1, w2 = RNG.standard_normal((5, 7)), RNG.standard_normal((7, 5))
-        leaves = [Tensor(a) for a in (x, w1, w2)]
-        out = tn.feed_forward(*leaves)
+        residual = RNG.standard_normal(shape)
+        leaves = [Tensor(a) for a in (residual, x, w1, w2)]
+        out = tn.feed_forward(*leaves, 0.5)
         tn.sum_all(tn.mul(out, g)).backward()
-        want_out, want_x = np.empty_like(x), np.empty_like(x)
+        want_out, want_x = residual.copy(), np.empty_like(x)
         want_w1, want_w2 = np.zeros_like(w1), np.zeros_like(w2)
         for row, g_row, o, g_x in zip(x.reshape(-1, 5), g.reshape(-1, 5),
                                       want_out.reshape(-1, 5), want_x.reshape(-1, 5)):
             pre = row @ w1
-            o[:] = np.maximum(pre, 0.0) @ w2
-            g_pre = (w2 @ g_row) * (pre > 0.0)
+            o += 0.5 * (np.maximum(pre, 0.0) @ w2)
+            g_pre = (w2 @ (0.5 * g_row)) * (pre > 0.0)
             g_x[:] = w1 @ g_pre
             want_w1 += np.outer(row, g_pre)
-            want_w2 += np.outer(np.maximum(pre, 0.0), g_row)
+            want_w2 += np.outer(np.maximum(pre, 0.0), 0.5 * g_row)
         for got, want in zip([out.data] + [t.grad for t in leaves],
-                             (want_out, want_x, want_w1, want_w2)):
+                             (want_out, g, want_x, want_w1, want_w2)):
             assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _reference_feed_forward(x, w1, w2):
+    """relu(x @ w1) @ w2 as one node without a residual: the feed-forward
+    node before it took in the residual add and the scale."""
+    xd = x.data
+    rows = xd.reshape(-1, xd.shape[-1])
+    pre = rows @ w1.data
+    hidden = np.maximum(pre, 0.0)
+    out = Tensor((hidden @ w2.data).reshape(xd.shape[:-1] + (w2.data.shape[1],)),
+                 (x, w1, w2))
+
+    def backward(g):
+        g_rows = g.reshape(-1, g.shape[-1])
+        tn._accum(w2, hidden.T @ g_rows)
+        g_pre = (g_rows @ w2.data.T) * (pre > 0.0)
+        tn._accum(w1, rows.T @ g_pre)
+        tn._accum(x, (g_pre @ w1.data.T).reshape(xd.shape))
+
+    tn._register(out, backward)
+    return out
+
+
+def _reference_shift_sum(x, kernel):
+    """Zero-padded depthwise convolution along axis -2 as its own node."""
+    width, L = kernel.data.shape[0], x.data.shape[-2]
+    half = width // 2
+    padded = np.pad(x.data, ((0, 0),) * (x.data.ndim - 2) + ((half, half), (0, 0)))
+    y = np.zeros_like(x.data)
+    for j in range(width):
+        y += padded[..., j : j + L, :] * kernel.data[j]
+    out = Tensor(y, (x, kernel))
+
+    def backward(g):
+        g_padded = np.zeros_like(padded)
+        g_kernel = np.empty_like(kernel.data)
+        for j in range(width):
+            g_padded[..., j : j + L, :] += g * kernel.data[j]
+            g_kernel[j] = (g * padded[..., j : j + L, :]).reshape(-1, x.data.shape[-1]).sum(0)
+        tn._accum(x, g_padded[..., half : half + L, :])
+        tn._accum(kernel, g_kernel)
+
+    tn._register(out, backward)
+    return out
+
+
+def _reference_silu(a):
+    sig = 1.0 / (1.0 + np.exp(-a.data))
+    out = Tensor(a.data * sig, (a,))
+
+    def backward(g):
+        tn._accum(a, g * (sig + a.data * sig * (1.0 - sig)))
+
+    tn._register(out, backward)
+    return out
+
+
+def _reference_conv_module(residual, x, w_in, kernel, w_out, frame_mask=None):
+    """The conv module as the composed chain the fused node replaces."""
+    h = x if frame_mask is None else tn.mul(x, frame_mask)
+    h = _reference_silu(_reference_shift_sum(tn.matmul(h, w_in), kernel))
+    return tn.add(residual, tn.matmul(h, w_out))
+
+
+def _outputs_and_grads(f, arrays, g):
+    """f's output and the gradients of sum(out * g) in each of ``arrays``,
+    each a separate leaf."""
+    leaves = [Tensor(a.copy()) for a in arrays]
+    out = f(*leaves)
+    tn.sum_all(tn.mul(out, g)).backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+def _assert_bitwise(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_feed_forward_node_is_bitwise_the_composed_chain():
+    # The residual add and the macaron scale of the composed chain,
+    # residual + scale(ff(x), c), folded into the node.
+    for shape in ((4, 5), (2, 3, 5)):
+        residual, x, g = (RNG.standard_normal(shape) for _ in range(3))
+        w1, w2 = RNG.standard_normal((5, 7)), RNG.standard_normal((7, 5))
+        arrays = (residual, x, w1, w2)
+        for c in (0.5, 1.0):
+            fused = _outputs_and_grads(lambda r, *a: tn.feed_forward(r, *a, c), arrays, g)
+            composed = _outputs_and_grads(
+                lambda r, *a: tn.add(r, tn.scale(_reference_feed_forward(*a), c)), arrays, g)
+            _assert_bitwise(fused, composed)
+
+
+def test_conv_module_node_is_bitwise_the_composed_chain():
+    d = 3
+    lengths = np.array([6, 4, 1])
+    padded_rows = (np.arange(6) < lengths[:, None])[..., None].astype(np.float64)
+    for width in (1, 3, 7):
+        w_in, w_out = RNG.standard_normal((d, d)), RNG.standard_normal((d, d))
+        kernel = RNG.standard_normal((width, d))
+        for shape, frame_mask in (((5, d), None), ((3, 6, d), None),
+                                  ((3, 6, d), padded_rows)):
+            residual, x, g = (RNG.standard_normal(shape) for _ in range(3))
+            arrays = (residual, x, w_in, kernel, w_out)
+            got = _outputs_and_grads(lambda *a: tn.conv_module(*a, frame_mask), arrays, g)
+            _assert_bitwise(got, _outputs_and_grads(
+                lambda *a: _reference_conv_module(*a, frame_mask), arrays, g))
+            if frame_mask is not None:
+                for b, n in enumerate(lengths):
+                    assert np.array_equal(got[2][b, n:], np.zeros((6 - n, d)))
 def test_numpy_operands_are_constants():
     # A numpy operand is not recorded, and the Tensor operand's gradient is
     # bitwise what it is when the same values come in as a Tensor leaf.
@@ -297,13 +412,16 @@ def test_first_gradient_is_not_shared_between_operands():
     assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
-def test_shift_sum_grads_at_every_length():
+def test_conv_module_grads_at_every_length():
     # Lengths below, at and above the kernel's half width.
-    kernel = RNG.standard_normal((5, 3))
+    kernel, w_in, w_out = (RNG.standard_normal(s) for s in ((5, 3), (3, 3), (3, 3)))
     for length in (1, 2, 3, 7):
-        x = RNG.standard_normal((length, 3))
-        assert _grad_check_weighted(lambda t: tn.shift_sum(t, Tensor(kernel)), x) < 1e-6
-        assert _grad_check_weighted(lambda t: tn.shift_sum(Tensor(x), t), kernel) < 1e-6
+        x, residual = RNG.standard_normal((length, 3)), Tensor(np.zeros((length, 3)))
+        operands = [Tensor(a) for a in (x, w_in, kernel, w_out)]
+        for i, a in enumerate((x, w_in, kernel, w_out)):
+            def f(t, i=i):
+                return tn.conv_module(residual, *operands[:i], t, *operands[i + 1:])
+            assert _grad_check_weighted(f, a) < 1e-6
 
 
 def test_matmul_with_2d_weight_flattens_leading_axes():
@@ -326,7 +444,7 @@ def _backward_keeping_every_grad(root):
 
 def test_backward_frees_interior_grads_and_keeps_leaf_grads_bitwise():
     def build(x, w):
-        h = tn.silu(tn.matmul(x, w))
+        h = tn.feed_forward(x, x, w, w, 0.5)
         return tn.sum_all(tn.mul(tn.log_softmax_rows(h), tn.add(h, x)))
 
     x_data, w_data = RNG.standard_normal((3, 4)), RNG.standard_normal((4, 4))
@@ -359,11 +477,17 @@ def test_mean_pool_rows_per_row_lengths():
     assert _grad_check_weighted(lambda t: tn.mean_pool_rows(t, 3, lengths), x) < 1e-6
 
 
-def test_shift_sum_over_a_batch_matches_each_row():
-    kernel = RNG.standard_normal((3, 2))
+def test_conv_module_over_a_batch_matches_each_row():
+    # With a frame mask, a padded row's end sees the same zeros as the row alone.
+    lengths = [4, 2]
+    kernel, w_in, w_out = (RNG.standard_normal(s) for s in ((3, 2), (2, 2), (2, 2)))
     x = RNG.standard_normal((2, 4, 2))
-    got = tn.shift_sum(Tensor(x), Tensor(kernel)).data
-    for b in range(2):
-        assert np.array_equal(got[b], tn.shift_sum(Tensor(x[b]), Tensor(kernel)).data)
-    assert _grad_check_weighted(lambda t: tn.shift_sum(t, Tensor(kernel)), x) < 1e-6
-    assert _grad_check_weighted(lambda t: tn.shift_sum(Tensor(x), t), kernel) < 1e-6
+    frame_mask = (np.arange(4) < np.array(lengths)[:, None])[..., None].astype(np.float64)
+    weights = [Tensor(a) for a in (w_in, kernel, w_out)]
+    got = tn.conv_module(Tensor(np.zeros_like(x)), Tensor(x), *weights, frame_mask).data
+    for b, n in enumerate(lengths):
+        alone = tn.conv_module(Tensor(np.zeros((n, 2))), Tensor(x[b, :n]), *weights).data
+        assert np.max(np.abs(got[b, :n] - alone)) < 1e-12
+    zero = Tensor(np.zeros_like(x))
+    assert _grad_check_weighted(
+        lambda t: tn.conv_module(zero, t, *weights, frame_mask), x) < 1e-6
