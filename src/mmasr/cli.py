@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .data import (
     CorpusConfig,
-    _is_id,
     gen_corpus,
+    is_id,
     read_corpus,
     read_split,
     read_vocab,
@@ -41,6 +41,7 @@ from .metrics import align_edit, error_breakdown, wer
 from .model import Model, ModelConfig, make_decoder_config
 from .train import (
     TrainConfig,
+    check_stage,
     decode_utterance,
     load_checkpoint,
     metrics_path,
@@ -50,8 +51,9 @@ from .train import (
 
 USAGE_ERROR, DATA_ERROR, RUNTIME_ERROR = 1, 2, 3
 
+# OSError: a path that is missing, a directory, or through a regular file.
 _DATA_ERRORS = (ConfigError, CorpusFormatError, VocabError, RecipeError,
-                CheckpointError, FileNotFoundError, IsADirectoryError)
+                CheckpointError, OSError, UnicodeDecodeError)
 _RUNTIME_ERRORS = (NumericError, ShapeError, ContractError, FeasibilityError,
                    OracleSizeError)
 
@@ -85,6 +87,8 @@ def load_run_config(path):
             raw = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     sections = {
         "corpus": CorpusConfig,
         "encoder": EncoderConfig,
@@ -122,23 +126,18 @@ def cmd_train(args):
     if "train" not in splits:
         raise ConfigError(f"no train split found under {args.data}")
     os.makedirs(args.out, exist_ok=True)
+    cfg = rc.train_stage1 if args.stage == 1 else rc.train_stage2
+    check_stage(cfg, args.stage)
     if args.stage == 1:
-        cfg = rc.train_stage1
-        if cfg.stage != "audio_only":
-            raise RecipeError("train_stage1 must use stage='audio_only'")
         model = Model.init(_model_config(rc, vocab), cfg.seed)
-        ckpt, log = os.path.join(args.out, "stage1.ckpt"), os.path.join(args.out, "stage1.log")
     else:
-        cfg = rc.train_stage2
-        if cfg.stage != "fusion" or not cfg.freeze_encoder:
-            raise RecipeError("train_stage2 must use stage='fusion' with freeze_encoder")
         if not args.stage1_ckpt:
             raise RecipeError("stage 2 requires --stage1-ckpt")
         if not os.path.exists(args.stage1_ckpt):
             raise RecipeError(f"stage-1 checkpoint not found: {args.stage1_ckpt}")
         model, _, _, _ = load_checkpoint(args.stage1_ckpt)
         model.reinit_fusion(cfg.seed)
-        ckpt, log = os.path.join(args.out, "stage2.ckpt"), os.path.join(args.out, "stage2.log")
+    ckpt, log = (os.path.join(args.out, f"stage{args.stage}{ext}") for ext in (".ckpt", ".log"))
     for path in (log, metrics_path(log)):
         if os.path.exists(path):
             os.remove(path)
@@ -177,9 +176,11 @@ def _read_hypotheses(path):
                 raise CorpusFormatError(f"bad hypothesis record: {e!r}", record=i) from e
             if not isinstance(uid, str):
                 raise CorpusFormatError(f"hypothesis id {uid!r} is not a string", record=i)
-            if not isinstance(tokens, list) or not all(_is_id(t) and t >= 0 for t in tokens):
+            if not isinstance(tokens, list) or not all(is_id(t) and t >= 0 for t in tokens):
                 raise CorpusFormatError(
                     f"hypothesis tokens are not integers >= 0: {tokens!r}", record=i)
+            if uid in hyps:
+                raise CorpusFormatError(f"hypothesis id {uid!r} repeats", record=i)
             hyps[uid] = tokens
     return hyps
 
@@ -187,6 +188,8 @@ def _read_hypotheses(path):
 def cmd_eval(args):
     vocab = read_vocab(args.vocab)
     refs = read_split(args.ref, vocab)
+    if not refs:
+        raise ConfigError(f"reference split {args.ref} holds no utterances")
     hyps = _read_hypotheses(args.hyp)
     per_utt, paths = [], []
     totals = None
@@ -226,6 +229,16 @@ def cmd_grad_check(args):
     return 0 if ok else RUNTIME_ERROR
 
 
+def _int_at_least(minimum):
+    """An argparse type: an integer of at least ``minimum``."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="mmasr",
                                 description="Desk-scale multimodal ASR pipeline")
@@ -262,8 +275,8 @@ def build_parser():
     e.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("grad-check", help="run the gradient-check suite")
-    c.add_argument("--cases", type=int, default=5)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--cases", type=_int_at_least(1), default=5)
+    c.add_argument("--seed", type=_int_at_least(0), default=0)
     c.set_defaults(func=cmd_grad_check)
     return p
 

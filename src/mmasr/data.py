@@ -133,10 +133,10 @@ class HomophoneVocab:
         """The inverse of ``to_json``. A missing, mistyped or inconsistent
         field raises KeyError, TypeError or ValueError."""
         size, n_background, groups = d["size"], d["n_background"], d["groups"]
-        if not (_is_id(size) and size >= 1 and _is_id(n_background) and n_background >= 0):
+        if not (is_id(size) and size >= 1 and is_id(n_background) and n_background >= 0):
             raise ValueError(f"size {size!r} or n_background {n_background!r} is not a count")
         if not (isinstance(groups, list) and all(
-                isinstance(g, list) and all(_is_id(t) and 1 <= t <= size for t in g)
+                isinstance(g, list) and all(is_id(t) and 1 <= t <= size for t in g)
                 for g in groups)):
             raise ValueError("groups is not a list of lists of content token ids")
         prototypes = np.asarray(d["prototypes"], dtype=np.float64)
@@ -296,7 +296,7 @@ def _utterance_record(utt):
     }
 
 
-def _is_id(x):
+def is_id(x):
     # bool is a subclass of int, but true/false are not token ids
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -314,7 +314,7 @@ def _parse_record(line, record_index, vocab):
     uid = rec["id"]
     ref, durations, ocr = rec["ref"], rec["durations"], rec["ocr"]
     for name, val in (("ref", ref), ("durations", durations), ("ocr", ocr)):
-        if not isinstance(val, list) or not all(_is_id(x) for x in val):
+        if not isinstance(val, list) or not all(is_id(x) for x in val):
             raise CorpusFormatError(f"field '{name}' is not an integer list",
                                     record=record_index)
     ocr_max = 2 * vocab.size + vocab.n_background
@@ -356,13 +356,16 @@ def write_split(path, utterances):
 
 def read_split(path, vocab):
     """Utterances of one JSONL split file; frame width and token id ranges
-    are checked against ``vocab``."""
-    out = []
+    are checked against ``vocab``, and no utterance id may repeat."""
+    out = {}
     with open(path, "r", encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
             if line.strip():
-                out.append(_parse_record(line, i, vocab))
-    return out
+                utt = _parse_record(line, i, vocab)
+                if utt.uid in out:
+                    raise CorpusFormatError(f"utterance id {utt.uid!r} repeats", record=i)
+                out[utt.uid] = utt
+    return list(out.values())
 
 
 def write_corpus(out_dir, vocab, splits, cfg=None):

@@ -18,18 +18,16 @@ from . import tensor as tn
 from .errors import ConfigError, ContractError, ShapeError, check_int
 from .layers import (
     AttentionParams,
+    FeedForwardParams,
+    LayerNormParams,
     Mask,
     attention,
     embed,
     init_attention_params,
-    key_mask,
-)
-from .encoder import (
-    FeedForwardParams,
-    LayerNormParams,
-    _ln,
     init_feed_forward,
     init_layer_norm,
+    key_mask,
+    layer_norm,
 )
 from .tensor import Tensor
 
@@ -163,12 +161,12 @@ def decoder_forward(targets_in, t_feats, i_feats, cfg, params, lengths=None):
     if keys is not None:
         mask = Mask(mask.allowed & keys.allowed)
     for block in params.blocks:
-        h = _ln(x, block.ln_self)
+        h = layer_norm(x, block.ln_self)
         x = attention(h, h, h, block.self_attn, mask=mask, residual=x)
-        h = _ln(x, block.ln_cross)
+        h = layer_norm(x, block.ln_cross)
         x = tn.add(x, dual_cross_attention(h, t_feats, i_feats, block.cross))
-        x = tn.feed_forward(x, _ln(x, block.ln_ffn), block.ffn.w1, block.ffn.w2, 1.0)
-    x = _ln(x, params.ln_out)
+        x = tn.feed_forward(x, layer_norm(x, block.ln_ffn), block.ffn.w1, block.ffn.w2, 1.0)
+    x = layer_norm(x, params.ln_out)
     return tn.matmul(x, params.out_w)
 
 

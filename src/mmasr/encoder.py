@@ -15,8 +15,12 @@ from . import tensor as tn
 from .errors import ConfigError, ContractError, check_int
 from .layers import (
     AttentionParams,
+    FeedForwardParams,
+    LayerNormParams,
     attention,
     init_attention_params,
+    init_feed_forward,
+    init_layer_norm,
     key_mask,
     layer_norm,
     sinusoidal_positions,
@@ -52,18 +56,6 @@ class AudioFeatures:
 
 
 @dataclass
-class LayerNormParams:
-    gamma: Tensor
-    beta: Tensor
-
-
-@dataclass
-class FeedForwardParams:
-    w1: Tensor
-    w2: Tensor
-
-
-@dataclass
 class ConvModuleParams:
     w_in: Tensor
     kernel: Tensor  # [width x d_model]
@@ -87,17 +79,6 @@ class EncoderBlockParams:
 class EncoderParams:
     in_proj: Tensor  # [d_in x d_model]
     blocks: list = field(default_factory=list)
-
-
-def init_layer_norm(d, _rng=None):
-    return LayerNormParams(gamma=Tensor(np.ones(d)), beta=Tensor(np.zeros(d)))
-
-
-def init_feed_forward(d, d_ff, rng):
-    return FeedForwardParams(
-        w1=Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (d, d_ff))),
-        w2=Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_ff), (d_ff, d))),
-    )
 
 
 def init_conv_module(d, width, rng):
@@ -130,10 +111,6 @@ def init_encoder_params(cfg, d_in, rng):
     )
 
 
-def _ln(x, p):
-    return layer_norm(x, p.gamma, p.beta)
-
-
 def encoder_block(x, p, mask=None, frame_mask=None):
     """Macaron block: half-FFN, self-attention, conv, half-FFN, layer norm.
 
@@ -142,13 +119,13 @@ def encoder_block(x, p, mask=None, frame_mask=None):
     padded frames of the conv-module input, so the convolution sees the
     same zero padding at a row's end as it does for that row alone.
     """
-    x = tn.feed_forward(x, _ln(x, p.ln_ffn1), p.ffn1.w1, p.ffn1.w2, 0.5)
-    h = _ln(x, p.ln_attn)
+    x = tn.feed_forward(x, layer_norm(x, p.ln_ffn1), p.ffn1.w1, p.ffn1.w2, 0.5)
+    h = layer_norm(x, p.ln_attn)
     x = attention(h, h, h, p.attn, mask=mask, residual=x)
-    x = tn.conv_module(x, _ln(x, p.ln_conv), p.conv.w_in, p.conv.kernel, p.conv.w_out,
-                       frame_mask)
-    x = tn.feed_forward(x, _ln(x, p.ln_ffn2), p.ffn2.w1, p.ffn2.w2, 0.5)
-    return _ln(x, p.ln_out)
+    x = tn.conv_module(x, layer_norm(x, p.ln_conv), p.conv.w_in, p.conv.kernel,
+                       p.conv.w_out, frame_mask)
+    x = tn.feed_forward(x, layer_norm(x, p.ln_ffn2), p.ffn2.w1, p.ffn2.w2, 0.5)
+    return layer_norm(x, p.ln_out)
 
 
 def encode_audio(frames, cfg, params, lengths=None):

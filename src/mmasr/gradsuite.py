@@ -1,6 +1,7 @@
 """Finite-difference gradient checks over every differentiable operation,
 from single layers up to the combined training loss, on random micro
-configurations."""
+configurations. ``param_grad_check`` is the one central-difference loop;
+``grad_check`` runs it on a function of one input."""
 
 from __future__ import annotations
 
@@ -18,27 +19,38 @@ from .encoder import (
     encode_audio,
     init_encoder_params,
 )
+from .errors import ContractError
 from .layers import (
+    LayerNormParams,
     Mask,
     attention,
     init_attention_params,
     layer_norm,
 )
-from .model import Model, ModelConfig, make_decoder_config
+from .model import Model, ModelConfig, _walk, make_decoder_config
 from .tensor import Tensor
 from .train import TrainConfig, utterance_losses
 from .visual import encode_visual
-from .model import _walk  # noqa: F401  (re-exported for tests)
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-4
 
 
 def param_grad_check(build_loss, param, eps=DEFAULT_EPS):
-    """Like tensor.grad_check but differentiates w.r.t. an in-place parameter."""
+    """Compare the analytic gradient of the scalar ``build_loss()`` with
+    respect to the leaf ``param`` against central differences, perturbing
+    ``param.data`` in place.
+
+    Returns the max over coordinates of
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    """
+    if not (1e-7 <= eps <= 1e-3):
+        raise ContractError(f"eps {eps} outside [1e-7, 1e-3]")
     loss = build_loss()
-    for node in tn._topo_order(loss):
-        node.grad = None  # clear leftovers from earlier checks on shared params
+    if not isinstance(loss, Tensor) or loss.data.size != 1:
+        raise ContractError("a gradient check requires a scalar-valued function")
+    # A leftover gradient of another leaf never flows into this one.
+    param.grad = None
     loss.backward()
     analytic = param.grad.copy() if param.grad is not None else np.zeros_like(param.data)
     param.grad = None
@@ -58,6 +70,13 @@ def param_grad_check(build_loss, param, eps=DEFAULT_EPS):
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def grad_check(f, x, eps=DEFAULT_EPS):
+    """``param_grad_check`` of the scalar ``f(t)`` in ``t``, a fresh leaf
+    holding a copy of ``x``."""
+    leaf = Tensor(tn.as_tensor(x).data.copy())
+    return param_grad_check(lambda: f(leaf), leaf, eps)
+
+
 def _rand(rng, *shape):
     return Tensor(rng.uniform(-1.0, 1.0, shape))
 
@@ -73,7 +92,7 @@ def check_attention(rng, eps):
     params = init_attention_params(d, heads, rng)
     q, k, v = _rand(rng, lq, d), _rand(rng, lk, d), _rand(rng, lk, d)
     reduce = _weighted_sum(attention(q, k, v, params), rng)
-    errs = [tn.grad_check(lambda t: reduce(attention(t, k, v, params)), q, eps)]
+    errs = [grad_check(lambda t: reduce(attention(t, k, v, params)), q, eps)]
     for p in (params.w_q, params.w_k, params.w_v, params.w_o):
         errs.append(param_grad_check(lambda: reduce(attention(q, k, v, params)), p, eps))
     return max(errs)
@@ -89,7 +108,7 @@ def check_self_attention(rng, eps):
     for shape, mask in (((3, d), Mask.causal(3)), ((2, 3, d), Mask.keys([3, 2], 3))):
         x = _rand(rng, *shape)
         reduce = _weighted_sum(attention(x, x, x, params, mask), rng)
-        errs.append(tn.grad_check(lambda t: reduce(attention(t, t, t, params, mask)), x, eps))
+        errs.append(grad_check(lambda t: reduce(attention(t, t, t, params, mask)), x, eps))
         for p in (params.w_q, params.w_k, params.w_v):
             errs.append(param_grad_check(
                 lambda: reduce(attention(x, x, x, params, mask)), p, eps))
@@ -101,7 +120,7 @@ def _operand_errs(fwd, operands, rng, eps):
     operand, the first as an input and the rest as parameters."""
     reduce = _weighted_sum(fwd(*operands), rng)
     first, rest = operands[0], operands[1:]
-    errs = [tn.grad_check(lambda t: reduce(fwd(t, *rest)), first, eps)]
+    errs = [grad_check(lambda t: reduce(fwd(t, *rest)), first, eps)]
     for p in rest:
         errs.append(param_grad_check(lambda: reduce(fwd(*operands)), p, eps))
     return errs
@@ -109,8 +128,8 @@ def _operand_errs(fwd, operands, rng, eps):
 
 def check_layer_norm(rng, eps):
     l, d = 3, 5
-    return max(_operand_errs(layer_norm, (_rand(rng, l, d), _rand(rng, d), _rand(rng, d)),
-                             rng, eps))
+    return max(_operand_errs(lambda x, gamma, beta: layer_norm(x, LayerNormParams(gamma, beta)),
+                             (_rand(rng, l, d), _rand(rng, d), _rand(rng, d)), rng, eps))
 
 
 def check_feed_forward(rng, eps):
@@ -143,7 +162,7 @@ def check_encoder(rng, eps):
     params = init_encoder_params(cfg, d_in, rng)
     x = _rand(rng, 6, d_in)
     reduce = _weighted_sum(encode_audio(x, cfg, params).frames, rng)
-    errs = [tn.grad_check(lambda t: reduce(encode_audio(t, cfg, params).frames), x, eps)]
+    errs = [grad_check(lambda t: reduce(encode_audio(t, cfg, params).frames), x, eps)]
     flat = dict(_walk("enc", params))
     names = sorted(flat)
     for name in [names[i] for i in rng.choice(len(names), 3, replace=False)]:
@@ -173,7 +192,7 @@ def check_dual_cross_attention(rng, eps):
         return dual_cross_attention(q, t_feats, iv, cross)
 
     reduce = _weighted_sum(dual_cross_attention(q, t_feats, i_feats, cross), rng)
-    errs = [tn.grad_check(
+    errs = [grad_check(
         lambda t: reduce(dual_cross_attention(t, t_feats, i_feats, cross)), q, eps)]
     for p in (cross.audio_branch.w_k, cross.visual_branch.w_k,
               cross.visual_branch.w_o, model.visual.embed):
@@ -192,7 +211,7 @@ def check_decoder_forward(rng, eps):
         return decoder_forward(targets, t_feats, iv, dec_cfg, model.decoder)
 
     reduce = _weighted_sum(fwd(), rng)
-    errs = [tn.grad_check(
+    errs = [grad_check(
         lambda t: reduce(decoder_forward(
             targets, AudioFeatures(t, 3),
             encode_visual([2, 3], model.visual), dec_cfg, model.decoder)),
@@ -210,7 +229,7 @@ def check_ctc_loss(rng, eps):
     u = int(rng.integers(1, 3))
     labels = [int(x) for x in rng.integers(1, v + 1, u)]
     x = _rand(rng, t_len, v + 1)
-    return tn.grad_check(
+    return grad_check(
         lambda t: ctc_mod.ctc_loss(tn.log_softmax_rows(t), labels), x, eps)
 
 

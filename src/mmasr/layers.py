@@ -1,8 +1,8 @@
-"""Neural building blocks: multi-head attention, layer norm, and token
-embedding with sinusoidal positions. The feed-forward and convolution
-modules are single tensor nodes (``tensor.feed_forward``,
-``tensor.conv_module``) that the encoder, decoder and visual encoder call
-directly.
+"""Neural building blocks shared by the speech encoder, the visual encoder
+and the decoder: multi-head attention, layer norm, the feed-forward
+weights, and token embedding with sinusoidal positions. The feed-forward
+and convolution modules are single tensor nodes (``tensor.feed_forward``,
+``tensor.conv_module``) that those stacks call directly.
 """
 
 from __future__ import annotations
@@ -42,6 +42,18 @@ class AttentionParams:
     @property
     def d_k(self):
         return self.d_model // self.n_heads
+
+
+@dataclass
+class LayerNormParams:
+    gamma: Tensor
+    beta: Tensor
+
+
+@dataclass
+class FeedForwardParams:
+    w1: Tensor
+    w2: Tensor
 
 
 @dataclass
@@ -92,6 +104,17 @@ def init_attention_params(d_model, n_heads, rng):
     )
 
 
+def init_layer_norm(d):
+    return LayerNormParams(gamma=Tensor(np.ones(d)), beta=Tensor(np.zeros(d)))
+
+
+def init_feed_forward(d, d_ff, rng):
+    return FeedForwardParams(
+        w1=Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (d, d_ff))),
+        w2=Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_ff), (d_ff, d))),
+    )
+
+
 def attention(q, k, v, params, mask=None, residual=None):
     """Multi-head scaled dot-product attention with projected q/k/v.
 
@@ -136,12 +159,13 @@ def _broadcasts(shape, target):
         return False
 
 
-def layer_norm(x, gamma, beta, eps=LAYER_NORM_EPS):
-    """Per-row normalization to zero mean / unit variance, then scale and shift."""
+def layer_norm(x, p, eps=LAYER_NORM_EPS):
+    """Per-row normalization to zero mean / unit variance, then scale and
+    shift by the ``LayerNormParams`` ``p``."""
     d = x.shape[-1]
-    if gamma.shape != (d,) and gamma.shape != (1, d):
-        raise ShapeError(f"gamma shape {gamma.shape} does not match d={d}")
-    return tn.layer_norm(x, gamma, beta, eps)
+    if p.gamma.shape != (d,) and p.gamma.shape != (1, d):
+        raise ShapeError(f"gamma shape {p.gamma.shape} does not match d={d}")
+    return tn.layer_norm(x, p.gamma, p.beta, eps)
 
 
 def sinusoidal_positions(length, d):

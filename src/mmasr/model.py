@@ -14,9 +14,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .decoder import DecoderConfig, DecoderParams, init_attention_params, init_decoder_params
+from .decoder import DecoderConfig, DecoderParams, init_decoder_params
 from .encoder import EncoderConfig, EncoderParams, init_encoder_params
 from .errors import ConfigError, check_int
+from .layers import init_attention_params
 from .tensor import Tensor
 from .visual import VisualEncoderParams, init_visual_params
 
@@ -147,6 +148,13 @@ class Model:
     def speech_parameters(self):
         """The speech encoder's and the CTC head's tensors: what stage 2 freezes."""
         return [t for _, t in _walk("encoder", self.encoder)] + [self.ctc_w]
+
+    def fusion_parameters(self):
+        """The visual encoder's and the visual cross-attention branches'
+        tensors: what ``reinit_fusion`` renews and stage 1 leaves untrained."""
+        branches = [block.cross.visual_branch for block in self.decoder.blocks]
+        return [t for _, t in _walk("visual", self.visual)] + [
+            t for _, t in _walk("branches", branches)]
 
     def reinit_fusion(self, seed):
         """Fresh visual encoder and visual cross-attention branches.

@@ -183,39 +183,23 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    """Matrix product over the last two axes; leading axes broadcast as in np.matmul.
-
-    When ``b`` is a 2-D weight, the rows of ``a`` over all its leading axes
-    form one [N x k] operand, so forward and the weight gradient are one
-    GEMM each rather than a stack of them plus a sum over the stack. A
-    non-Tensor operand is a constant, as in add.
+    """a @ b for a 2-D weight ``b``. The rows of ``a`` over all its leading
+    axes form one [N x k] operand, so forward, the input gradient and the
+    weight gradient are one GEMM each. A non-Tensor operand is a constant,
+    as in add.
     """
     ad, bd = _value(a), _value(b)
-    try:
-        if ad.ndim < 2 or bd.ndim < 2:
-            raise ValueError("matmul operands need at least two axes")
-        flat = ad.ndim > 2 and bd.ndim == 2
-        if flat:
-            rows = ad.reshape(-1, ad.shape[-1])
-            y = (rows @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
-        else:
-            y = ad @ bd
-    except ValueError:
-        raise ShapeError(f"matmul shapes do not conform: {ad.shape} x {bd.shape}") from None
-    out = Tensor(y, _inputs(a, b))
+    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul shapes do not conform: {ad.shape} x {bd.shape}")
+    rows = ad.reshape(-1, ad.shape[-1])
+    out = Tensor((rows @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), _inputs(a, b))
 
     def backward(g):
-        if flat:
-            g_rows = g.reshape(-1, g.shape[-1])
-            if isinstance(a, Tensor):
-                _accum(a, (g_rows @ bd.T).reshape(ad.shape))
-            if isinstance(b, Tensor):
-                _accum(b, rows.T @ g_rows)
-            return
+        g_rows = g.reshape(-1, g.shape[-1])
         if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+            _accum(a, (g_rows @ bd.T).reshape(ad.shape))
         if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+            _accum(b, rows.T @ g_rows)
 
     _register(out, backward)
     return out
@@ -463,38 +447,6 @@ def mean_pool_rows(a, factor, lengths=None):
 
     _register(out, backward)
     return out
-
-
-def grad_check(f, x, eps=1e-5):
-    """Compare analytic gradients of scalar ``f`` at ``x`` against central differences.
-
-    Returns the max over coordinates of
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ContractError(f"eps {eps} outside [1e-7, 1e-3]")
-    x = as_tensor(x)
-    base = Tensor(x.data.copy())
-    out = f(base)
-    if not isinstance(out, Tensor) or out.data.size != 1:
-        raise ContractError("grad_check requires a scalar-valued function")
-    out.backward()
-    analytic = base.grad if base.grad is not None else np.zeros_like(base.data)
-
-    numeric = np.zeros_like(base.data)
-    flat = numeric.reshape(-1)
-    with no_grad():
-        for i in range(base.data.size):
-            plus = base.data.copy().reshape(-1)
-            plus[i] += eps
-            minus = base.data.copy().reshape(-1)
-            minus[i] -= eps
-            fp = f(Tensor(plus.reshape(base.data.shape))).item()
-            fm = f(Tensor(minus.reshape(base.data.shape))).item()
-            flat[i] = (fp - fm) / (2.0 * eps)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom)) if base.data.size else 0.0
 
 
 def zeros(shape):

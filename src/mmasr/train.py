@@ -203,19 +203,23 @@ class Adam:
 
 
 def trainable_names(model, cfg):
-    names = list(model.named_parameters())
-    out = []
-    for n in names:
-        if cfg.freeze_encoder and (n.startswith("encoder.") or n == "ctc_w"):
-            continue
-        if cfg.stage == "audio_only" and _is_fusion_param(n):
-            continue
-        out.append(n)
-    return out
+    """The names of the parameters ``cfg`` trains, in ``named_parameters``
+    order: with ``freeze_encoder`` not the speech parameters, and in stage 1
+    not the fusion parameters."""
+    untrained = model.speech_parameters() if cfg.freeze_encoder else []
+    if cfg.stage == "audio_only":
+        untrained += model.fusion_parameters()
+    untrained = {id(t) for t in untrained}
+    return [n for n, t in model.named_parameters().items() if id(t) not in untrained]
 
 
-def _is_fusion_param(name):
-    return name.startswith("visual.") or ".cross.visual_branch." in name
+def check_stage(cfg, n):
+    """The two-stage recipe: stage 1 trains audio-only, and stage 2 trains
+    the fusion parameters with the speech encoder frozen."""
+    if n == 1 and cfg.stage != "audio_only":
+        raise RecipeError("stage 1 must use stage='audio_only'")
+    if n == 2 and (cfg.stage != "fusion" or not cfg.freeze_encoder):
+        raise RecipeError("stage 2 must use stage='fusion' with freeze_encoder")
 
 
 def label_smoothed_ce(logits, targets, smoothing, lengths=None):
@@ -454,10 +458,8 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
 def run_recipe(model_cfg, splits, cfg_stage1, cfg_stage2, out_dir,
                model_seed=0):
     """Audio-only pretraining, then fusion training with a frozen encoder."""
-    if cfg_stage1.stage != "audio_only":
-        raise RecipeError("stage 1 must use stage='audio_only'")
-    if cfg_stage2.stage != "fusion" or not cfg_stage2.freeze_encoder:
-        raise RecipeError("stage 2 must use stage='fusion' with freeze_encoder")
+    check_stage(cfg_stage1, 1)
+    check_stage(cfg_stage2, 2)
     os.makedirs(out_dir, exist_ok=True)
     model = Model.init(model_cfg, model_seed)
     opt, rng, hist1 = run_stage(model, splits["train"], cfg_stage1,

@@ -16,17 +16,15 @@ import numpy as np
 from . import tensor as tn
 from .layers import (
     AttentionParams,
+    FeedForwardParams,
+    LayerNormParams,
     attention,
     embed,
     init_attention_params,
-    key_mask,
-)
-from .encoder import (
-    FeedForwardParams,
-    LayerNormParams,
-    _ln,
     init_feed_forward,
     init_layer_norm,
+    key_mask,
+    layer_norm,
 )
 from .tensor import Tensor
 
@@ -82,8 +80,8 @@ def encode_visual(ocr_tokens, params, frozen=False, lengths=None):
 def _forward(tokens, params, lengths):
     i_len = tokens.shape[-1]
     x = embed(tokens, params.embed)
-    h = _ln(x, params.ln_attn)
+    h = layer_norm(x, params.ln_attn)
     # A row without tokens attends to its padding; the decoder discards it.
     x = attention(h, h, h, params.attn, mask=key_mask(lengths, i_len), residual=x)
-    x = tn.feed_forward(x, _ln(x, params.ln_ffn), params.ffn.w1, params.ffn.w2, 1.0)
+    x = tn.feed_forward(x, layer_norm(x, params.ln_ffn), params.ffn.w1, params.ffn.w2, 1.0)
     return VisualFeatures(frames=x, i_len=i_len, lengths=lengths)

@@ -223,6 +223,93 @@ def test_eval_with_a_malformed_vocab_is_data_error(workspace, capsys):
     assert "vocab" in capsys.readouterr().err
 
 
+def _eval(data, ref, hyp, out):
+    return run_cli(["eval", "--ref", str(ref), "--hyp", str(hyp),
+                    "--vocab", f"{data}/vocab.json", "--out", str(out)])
+
+
+def test_eval_of_an_empty_reference_split_is_data_error(workspace, capsys):
+    tmp_path, cfg_path = workspace
+    data = tmp_path / "corpus"
+    assert run_cli(["gen-data", "--config", cfg_path, "--out", str(data)]) == 0
+    (tmp_path / "empty.jsonl").write_text("")
+    assert _eval(data, tmp_path / "empty.jsonl", data / "test.jsonl", tmp_path / "r.json") == 2
+    assert "no utterances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeated", ["ref", "hyp"])
+def test_eval_refuses_a_repeated_utterance_id(workspace, capsys, repeated):
+    tmp_path, cfg_path = workspace
+    data = tmp_path / "corpus"
+    assert run_cli(["gen-data", "--config", cfg_path, "--out", str(data)]) == 0
+    lines = (data / "test.jsonl").read_text().splitlines(keepends=True)[:2]
+    recs = [json.loads(line) for line in lines]
+    if repeated == "ref":
+        recs[1]["id"] = recs[0]["id"]
+        (tmp_path / "ref.jsonl").write_text("".join(json.dumps(r) + "\n" for r in recs))
+    else:
+        (tmp_path / "ref.jsonl").write_text(lines[0])
+    hyp = "".join(json.dumps({"id": recs[0]["id"], "tokens": r["ref"]}) + "\n" for r in recs)
+    (tmp_path / "hyp.jsonl").write_text(hyp)
+    assert _eval(data, tmp_path / "ref.jsonl", tmp_path / "hyp.jsonl", tmp_path / "r.json") == 2
+    assert "record 2" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("top", [[1], None])
+def test_a_run_config_that_is_not_an_object_is_a_data_error(tmp_path, capsys, top):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(top))
+    assert run_cli(["gen-data", "--config", str(p), "--out", str(tmp_path / "c")]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["config", "vocab.json", "test.jsonl", "hyp"])
+def test_a_file_that_is_not_utf8_is_a_data_error(workspace, capsys, target):
+    tmp_path, cfg_path = workspace
+    data = tmp_path / "corpus"
+    assert run_cli(["gen-data", "--config", cfg_path, "--out", str(data)]) == 0
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text("")
+    path = {"config": tmp_path / "run.json", "hyp": hyp}.get(target, data / target)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    if target == "config":
+        code = run_cli(["gen-data", "--config", str(path), "--out", str(tmp_path / "c")])
+    else:
+        code = _eval(data, data / "test.jsonl", hyp, tmp_path / "r.json")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_path_through_a_regular_file_is_a_data_error(workspace, capsys):
+    tmp_path, cfg_path = workspace
+    data = tmp_path / "corpus"
+    assert run_cli(["gen-data", "--config", cfg_path, "--out", str(data)]) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run_cli(["gen-data", "--config", str(afile / "c.json"),
+                    "--out", str(tmp_path / "c")]) == 2
+    assert _eval(data, data / "test.jsonl", data / "test.jsonl", afile / "x.json") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("stage, section, changes", [
+    (1, "train_stage1", {"stage": "fusion"}),
+    (2, "train_stage2", {"freeze_encoder": False}),
+    (2, "train_stage2", {"stage": "audio_only"}),
+])
+def test_train_refuses_a_stage_that_breaks_the_recipe(workspace, capsys, stage, section,
+                                                      changes):
+    tmp_path, cfg_path = workspace
+    data = str(tmp_path / "corpus")
+    assert run_cli(["gen-data", "--config", cfg_path, "--out", data]) == 0
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(CONFIG, **{section: dict(CONFIG[section], **changes)})))
+    assert run_cli(["train", "--config", str(p), "--stage", str(stage), "--data", data,
+                    "--out", str(tmp_path / "run"), "--stage1-ckpt", "none.ckpt"]) == 2
+    assert f"stage {stage} must use" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("train_stage1", "peak_lr", "x"), ("train_stage1", "peak_lr", -1.0),
     ("train_stage2", "seed", -1), ("train_stage2", "seed", True),
@@ -287,3 +374,9 @@ def test_grad_check_command(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("args", [["--cases", "0"], ["--cases", "-3"], ["--seed", "-1"]])
+def test_grad_check_refuses_arguments_it_cannot_use(capsys, args):
+    assert run_cli(["grad-check"] + args) == 1
+    assert args[0] in capsys.readouterr().err

@@ -371,6 +371,14 @@ def test_non_finite_frames_are_a_corpus_error(tmp_path, bad):
         read_split(str(tmp_path / "bad.jsonl"), vocab)
 
 
+def test_a_repeated_utterance_id_is_a_corpus_error(tmp_path):
+    vocab, splits = gen_corpus(SMALL)
+    first, second = splits["valid"][:2]
+    write_split(str(tmp_path / "dup.jsonl"), [first, dataclasses.replace(second, uid=first.uid)])
+    with pytest.raises(CorpusFormatError, match=f"record 2: .*{first.uid}.*repeats"):
+        read_split(str(tmp_path / "dup.jsonl"), vocab)
+
+
 def _vocab_meta():
     return {"format_version": 1, "vocab": build_vocab(SMALL).to_json()}
 

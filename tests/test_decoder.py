@@ -16,6 +16,7 @@ from mmasr.decoder import (
 )
 from mmasr.encoder import AudioFeatures
 from mmasr.errors import ConfigError
+from mmasr.gradsuite import grad_check
 from mmasr.layers import init_attention_params
 from mmasr.tensor import Tensor
 from mmasr.visual import VisualFeatures, empty_visual
@@ -148,7 +149,7 @@ def test_forward_gradient_check():
                               cfg, params)
         return tn.sum_all(tn.mul(out, Tensor(w)))
 
-    assert tn.grad_check(f, x) < 1e-4
+    assert grad_check(f, x) < 1e-4
 
 
 def test_gradient_reaches_both_key_projections():

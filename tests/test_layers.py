@@ -7,10 +7,12 @@ from mmasr import tensor as tn
 from mmasr.errors import ConfigError, ContractError, ShapeError, VocabError
 from mmasr.layers import (
     AttentionParams,
+    LayerNormParams,
     Mask,
     attention,
     embed,
     init_attention_params,
+    init_layer_norm,
     layer_norm,
     sinusoidal_positions,
 )
@@ -235,14 +237,14 @@ def test_heads_must_divide_d_model():
 def test_layer_norm_constant_row_is_beta():
     d = 5
     x = Tensor(np.full((2, d), 3.7))
-    out = layer_norm(x, Tensor(np.ones(d)), Tensor(np.zeros(d))).data
+    out = layer_norm(x, init_layer_norm(d)).data
     assert np.max(np.abs(out)) < 1e-12
-    out2 = layer_norm(x, Tensor(np.ones(d)), Tensor(np.full(d, 2.0))).data
+    out2 = layer_norm(x, LayerNormParams(Tensor(np.ones(d)), Tensor(np.full(d, 2.0)))).data
     assert np.max(np.abs(out2 - 2.0)) < 1e-12
 
 
 def test_layer_norm_two_point_row():
-    out = layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2))).data
+    out = layer_norm(Tensor([[1.0, -1.0]]), init_layer_norm(2)).data
     # variance 1 plus eps: values shrink by 1/sqrt(1 + 1e-5)
     expected = np.array([[1.0, -1.0]]) / np.sqrt(1.0 + 1e-5)
     assert np.max(np.abs(out - expected)) < 1e-12
@@ -250,8 +252,13 @@ def test_layer_norm_two_point_row():
 
 def test_layer_norm_centers_rows():
     x = RNG.standard_normal((4, 8)) * 3.0 + 5.0
-    out = layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8))).data
+    out = layer_norm(Tensor(x), init_layer_norm(8)).data
     assert np.max(np.abs(out.mean(axis=1))) < 1e-10
+
+
+def test_layer_norm_checks_the_gamma_shape():
+    with pytest.raises(ShapeError, match="gamma shape"):
+        layer_norm(Tensor(np.ones((2, 4))), init_layer_norm(3))
 
 
 def test_feed_forward_zero_and_identity():
