@@ -20,6 +20,7 @@ from .data import (
     is_id,
     read_corpus,
     read_split,
+    read_text,
     read_vocab,
     write_corpus,
 )
@@ -82,11 +83,10 @@ def _strict(cls, d, section):
 
 
 def load_run_config(path):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    try:
+        raw = json.loads(read_text(path, ConfigError))
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} is not a JSON object")
     sections = {
@@ -120,6 +120,17 @@ def _model_config(rc, vocab):
                        encoder=rc.encoder, decoder=dec)
 
 
+def _check_corpus(model, vocab, ckpt):
+    """A checkpoint reads only a corpus of its own frame width and vocabulary."""
+    cfg = model.cfg
+    trained = (cfg.d_in, cfg.v_content, cfg.n_background)
+    found = (vocab.d_in, vocab.size, vocab.n_background)
+    if trained != found:
+        raise CheckpointError(
+            f"checkpoint {ckpt} has (d_in, v_content, n_background) = {trained}, "
+            f"but the corpus has {found}")
+
+
 def cmd_train(args):
     rc = load_run_config(args.config)
     vocab, splits = read_corpus(args.data)
@@ -136,6 +147,7 @@ def cmd_train(args):
         if not os.path.exists(args.stage1_ckpt):
             raise RecipeError(f"stage-1 checkpoint not found: {args.stage1_ckpt}")
         model, _, _, _ = load_checkpoint(args.stage1_ckpt)
+        _check_corpus(model, vocab, args.stage1_ckpt)
         model.reinit_fusion(cfg.seed)
     ckpt, log = (os.path.join(args.out, f"stage{args.stage}{ext}") for ext in (".ckpt", ".log"))
     for path in (log, metrics_path(log)):
@@ -153,6 +165,7 @@ def cmd_decode(args):
     vocab, splits = read_corpus(args.corpus, splits=(args.split,))
     if args.split not in splits:
         raise ConfigError(f"split '{args.split}' not found under {args.corpus}")
+    _check_corpus(model, vocab, args.ckpt)
     use_visual = args.modality == "audio+visual"
     with open(args.out, "w", encoding="utf-8") as f:
         for utt in sorted(splits[args.split], key=lambda u: u.uid):
@@ -165,23 +178,22 @@ def cmd_decode(args):
 
 def _read_hypotheses(path):
     hyps = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for i, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                uid, tokens = rec["id"], rec["tokens"]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise CorpusFormatError(f"bad hypothesis record: {e!r}", record=i) from e
-            if not isinstance(uid, str):
-                raise CorpusFormatError(f"hypothesis id {uid!r} is not a string", record=i)
-            if not isinstance(tokens, list) or not all(is_id(t) and t >= 0 for t in tokens):
-                raise CorpusFormatError(
-                    f"hypothesis tokens are not integers >= 0: {tokens!r}", record=i)
-            if uid in hyps:
-                raise CorpusFormatError(f"hypothesis id {uid!r} repeats", record=i)
-            hyps[uid] = tokens
+    for i, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            uid, tokens = rec["id"], rec["tokens"]
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            raise CorpusFormatError(f"bad hypothesis record: {e!r}", record=i) from e
+        if not isinstance(uid, str):
+            raise CorpusFormatError(f"hypothesis id {uid!r} is not a string", record=i)
+        if not isinstance(tokens, list) or not all(is_id(t) and t >= 0 for t in tokens):
+            raise CorpusFormatError(
+                f"hypothesis tokens are not integers >= 0: {tokens!r}", record=i)
+        if uid in hyps:
+            raise CorpusFormatError(f"hypothesis id {uid!r} repeats", record=i)
+        hyps[uid] = tokens
     return hyps
 
 

@@ -346,6 +346,16 @@ def _parse_record(line, record_index, vocab):
     return Utterance(uid=uid, ref=ref, durations=durations, audio=audio, ocr=ocr)
 
 
+def read_text(path, error=CorpusFormatError):
+    """The text of the UTF-8 file ``path``; bytes that are not UTF-8 raise
+    ``error`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path} is not UTF-8 text: {e}") from e
+
+
 def write_split(path, utterances):
     with open(path, "w", encoding="utf-8") as f:
         for utt in utterances:
@@ -358,13 +368,12 @@ def read_split(path, vocab):
     """Utterances of one JSONL split file; frame width and token id ranges
     are checked against ``vocab``, and no utterance id may repeat."""
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for i, line in enumerate(f, start=1):
-            if line.strip():
-                utt = _parse_record(line, i, vocab)
-                if utt.uid in out:
-                    raise CorpusFormatError(f"utterance id {utt.uid!r} repeats", record=i)
-                out[utt.uid] = utt
+    for i, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.strip():
+            utt = _parse_record(line, i, vocab)
+            if utt.uid in out:
+                raise CorpusFormatError(f"utterance id {utt.uid!r} repeats", record=i)
+            out[utt.uid] = utt
     return list(out.values())
 
 
@@ -383,13 +392,12 @@ def write_corpus(out_dir, vocab, splits, cfg=None):
 
 
 def read_vocab(path):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            meta = json.load(f)
-        except json.JSONDecodeError as e:
-            raise CorpusFormatError(f"invalid vocab file: {e}") from e
+    try:
+        meta = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise CorpusFormatError(f"invalid vocab file {path}: {e}") from e
     if not isinstance(meta, dict):
-        raise CorpusFormatError("vocab file is not a JSON object")
+        raise CorpusFormatError(f"vocab file {path} is not a JSON object")
     if meta.get("format_version") != 1:
         raise CorpusFormatError(
             f"unsupported corpus format version {meta.get('format_version')}"

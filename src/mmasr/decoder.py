@@ -20,8 +20,8 @@ from .layers import (
     AttentionParams,
     FeedForwardParams,
     LayerNormParams,
-    Mask,
     attention,
+    causal_mask,
     embed,
     init_attention_params,
     init_feed_forward,
@@ -156,16 +156,15 @@ def decoder_forward(targets_in, t_feats, i_feats, cfg, params, lengths=None):
     if set(np.ravel(targets_in[..., 0]).tolist()) != {cfg.bos_id}:
         raise ContractError(f"targets must begin with BOS (id {cfg.bos_id})")
     x = embed(targets_in, params.embed)
-    mask = Mask.causal(n)
-    keys = key_mask(lengths, n)
+    mask, keys = causal_mask(n), key_mask(lengths, n)
     if keys is not None:
-        mask = Mask(mask.allowed & keys.allowed)
+        mask = mask & keys
     for block in params.blocks:
-        h = layer_norm(x, block.ln_self)
-        x = attention(h, h, h, block.self_attn, mask=mask, residual=x)
+        x = attention(x, x, x, block.self_attn, mask, norm=block.ln_self)
+        # Both cross-attention branches read one norm: x + (audio + visual).
         h = layer_norm(x, block.ln_cross)
         x = tn.add(x, dual_cross_attention(h, t_feats, i_feats, block.cross))
-        x = tn.feed_forward(x, layer_norm(x, block.ln_ffn), block.ffn.w1, block.ffn.w2, 1.0)
+        x = tn.feed_forward(x, block.ln_ffn, block.ffn.w1, block.ffn.w2, 1.0)
     x = layer_norm(x, params.ln_out)
     return tn.matmul(x, params.out_w)
 

@@ -112,19 +112,18 @@ def init_encoder_params(cfg, d_in, rng):
 
 
 def encoder_block(x, p, mask=None, frame_mask=None):
-    """Macaron block: half-FFN, self-attention, conv, half-FFN, layer norm.
+    """Macaron block: half-FFN, self-attention, conv, half-FFN, layer norm;
+    each of the first four is one pre-LN sub-block node, x + f(LN(x)).
 
     In a padded batch, ``mask`` hides the padded keys from self-attention
     and ``frame_mask`` ([B x t_len x 1], 1 on valid frames) zeroes the
     padded frames of the conv-module input, so the convolution sees the
     same zero padding at a row's end as it does for that row alone.
     """
-    x = tn.feed_forward(x, layer_norm(x, p.ln_ffn1), p.ffn1.w1, p.ffn1.w2, 0.5)
-    h = layer_norm(x, p.ln_attn)
-    x = attention(h, h, h, p.attn, mask=mask, residual=x)
-    x = tn.conv_module(x, layer_norm(x, p.ln_conv), p.conv.w_in, p.conv.kernel,
-                       p.conv.w_out, frame_mask)
-    x = tn.feed_forward(x, layer_norm(x, p.ln_ffn2), p.ffn2.w1, p.ffn2.w2, 0.5)
+    x = tn.feed_forward(x, p.ln_ffn1, p.ffn1.w1, p.ffn1.w2, 0.5)
+    x = attention(x, x, x, p.attn, mask, norm=p.ln_attn)
+    x = tn.conv_module(x, p.ln_conv, p.conv.w_in, p.conv.kernel, p.conv.w_out, frame_mask)
+    x = tn.feed_forward(x, p.ln_ffn2, p.ffn2.w1, p.ffn2.w2, 0.5)
     return layer_norm(x, p.ln_out)
 
 
@@ -149,9 +148,7 @@ def encode_audio(frames, cfg, params, lengths=None):
         lengths = -(-np.asarray(lengths, dtype=np.int64) // factor)
     h = tn.add(h, sinusoidal_positions(t_len, cfg.d_model))
     mask = key_mask(lengths, t_len)
-    frame_mask = None
-    if mask is not None:
-        frame_mask = np.swapaxes(mask.allowed, -1, -2).astype(np.float64)
+    frame_mask = None if mask is None else np.swapaxes(mask, -1, -2).astype(np.float64)
     for block in params.blocks:
         h = encoder_block(h, block, mask, frame_mask)
     return AudioFeatures(frames=h, t_len=t_len, lengths=lengths)

@@ -22,9 +22,10 @@ from .encoder import (
 from .errors import ContractError
 from .layers import (
     LayerNormParams,
-    Mask,
     attention,
+    causal_mask,
     init_attention_params,
+    key_mask,
     layer_norm,
 )
 from .model import Model, ModelConfig, _walk, make_decoder_config
@@ -99,19 +100,21 @@ def check_attention(rng, eps):
 
 
 def check_self_attention(rng, eps):
-    """One tensor as q, k and v, so that the three input-gradient terms of
-    self-attention are checked together: 2-D with a causal mask, and a
+    """The pre-LN self-attention node, one tensor as q, k and v, in its
+    input, layer norm and q/k/v projections: 2-D with a causal mask, and a
     batch of two rows with key padding."""
     d = 4
     params = init_attention_params(d, int(rng.choice([1, 2, 4])), rng)
+    norm = LayerNormParams(_rand(rng, d), _rand(rng, d))
     errs = []
-    for shape, mask in (((3, d), Mask.causal(3)), ((2, 3, d), Mask.keys([3, 2], 3))):
+    for shape, mask in (((3, d), causal_mask(3)), ((2, 3, d), key_mask([3, 2], 3))):
         x = _rand(rng, *shape)
-        reduce = _weighted_sum(attention(x, x, x, params, mask), rng)
-        errs.append(grad_check(lambda t: reduce(attention(t, t, t, params, mask)), x, eps))
-        for p in (params.w_q, params.w_k, params.w_v):
+        reduce = _weighted_sum(attention(x, x, x, params, mask, norm), rng)
+        errs.append(grad_check(lambda t: reduce(attention(t, t, t, params, mask, norm)),
+                               x, eps))
+        for p in (norm.gamma, norm.beta, params.w_q, params.w_k, params.w_v):
             errs.append(param_grad_check(
-                lambda: reduce(attention(x, x, x, params, mask)), p, eps))
+                lambda: reduce(attention(x, x, x, params, mask, norm)), p, eps))
     return max(errs)
 
 
@@ -138,8 +141,9 @@ def check_feed_forward(rng, eps):
     # ReLU kinks: nudge activations away from zero for a clean check.
     w1.data += 0.05 * np.sign(w1.data)
     c = float(rng.choice([0.5, 1.0]))
-    return max(_operand_errs(lambda x_, r, *w: tn.feed_forward(r, x_, *w, c),
-                             (x, _rand(rng, l, d), w1, w2), rng, eps))
+    return max(_operand_errs(
+        lambda x_, gamma, beta, *w: tn.feed_forward(x_, LayerNormParams(gamma, beta), *w, c),
+        (x, _rand(rng, d), _rand(rng, d), w1, w2), rng, eps))
 
 
 def check_conv_module(rng, eps):
@@ -148,10 +152,13 @@ def check_conv_module(rng, eps):
     d, width = 4, 3
     weights = (_rand(rng, d, d), _rand(rng, width, d), _rand(rng, d, d))  # w_in, kernel, w_out
     padding = (np.arange(5) < np.array([[5], [3]]))[..., None].astype(np.float64)
+    norm = (_rand(rng, d), _rand(rng, d))  # gamma, beta
     errs = []
     for shape, frame_mask in (((5, d), None), ((2, 5, d), padding)):
-        errs += _operand_errs(lambda x, r, *w, m=frame_mask: tn.conv_module(r, x, *w, m),
-                              (_rand(rng, *shape), _rand(rng, *shape)) + weights, rng, eps)
+        errs += _operand_errs(
+            lambda x, gamma, beta, *w, m=frame_mask: tn.conv_module(
+                x, LayerNormParams(gamma, beta), *w, m),
+            (_rand(rng, *shape),) + norm + weights, rng, eps)
     return max(errs)
 
 

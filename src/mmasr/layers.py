@@ -1,8 +1,8 @@
 """Neural building blocks shared by the speech encoder, the visual encoder
-and the decoder: multi-head attention, layer norm, the feed-forward
-weights, and token embedding with sinusoidal positions. The feed-forward
-and convolution modules are single tensor nodes (``tensor.feed_forward``,
-``tensor.conv_module``) that those stacks call directly.
+and the decoder: multi-head attention, bool masks, layer norm, the
+feed-forward weights, and token embedding with sinusoidal positions. The
+pre-LN feed-forward and convolution sub-blocks are single tensor nodes
+(``tensor.feed_forward``, ``tensor.conv_module``) that the stacks call.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import ConfigError, ContractError, ShapeError, VocabError
 from .tensor import Tensor
 
 MASK_PENALTY = -1e9
-LAYER_NORM_EPS = 1e-5
 
 
 @dataclass
@@ -56,22 +55,14 @@ class FeedForwardParams:
     w2: Tensor
 
 
-@dataclass
-class Mask:
-    allowed: np.ndarray  # bool, broadcastable to [..., query_len x key_len]
-
-    @classmethod
-    def causal(cls, n):
-        return cls(np.tril(np.ones((n, n), dtype=bool)))
-
-    @classmethod
-    def keys(cls, lengths, n_keys):
-        """[B x 1 x n_keys]: every query of row b sees its first lengths[b] keys."""
-        return cls(np.arange(n_keys) < np.asarray(lengths)[:, None, None])
+def causal_mask(n):
+    """[n x n] bool: query i sees keys 0..i."""
+    return np.tril(np.ones((n, n), dtype=bool))
 
 
 def key_mask(lengths, n_keys):
-    """Key-padding mask of a padded batch, or None when nothing is padded.
+    """Key-padding mask of a padded batch, [B x 1 x n_keys] bool (row b sees
+    its first lengths[b] keys), or None when nothing is padded.
 
     A row of length 0 sees its first key, so that its softmax is defined;
     the caller discards what that row computes.
@@ -79,7 +70,7 @@ def key_mask(lengths, n_keys):
     if lengths is None:
         return None
     lengths = np.maximum(lengths, 1)
-    return None if lengths.min() == n_keys else Mask.keys(lengths, n_keys)
+    return None if lengths.min() == n_keys else np.arange(n_keys) < lengths[:, None, None]
 
 
 def pad_batch(seqs, dtype=np.int64):
@@ -115,15 +106,15 @@ def init_feed_forward(d, d_ff, rng):
     )
 
 
-def attention(q, k, v, params, mask=None, residual=None):
+def attention(q, k, v, params, mask=None, norm=None):
     """Multi-head scaled dot-product attention with projected q/k/v.
 
     ``q`` is [..., L_q x d_model] and ``k``, ``v`` are [..., L_k x d_model]
-    with the same leading axes. Masked positions get an additive -1e9
-    penalty before the softmax; ``mask.allowed`` broadcasts to
-    [..., L_q x L_k], and a query row with no visible key is a contract
-    violation. ``k`` and ``v`` may be numpy constants. A ``residual`` of
-    q's shape is added to the output.
+    with the same leading axes. ``mask`` is a bool array broadcastable to
+    [..., L_q x L_k], True where a query sees a key; hidden keys get an
+    additive -1e9 penalty before the softmax. ``k`` and ``v`` may be numpy
+    constants. With ``norm`` (a ``LayerNormParams``) it is the pre-LN
+    self-attention sub-block q + MHA(LN(q)), and ``k`` and ``v`` are ``q``.
     """
     q_shape, k_shape = q.shape, k.shape
     lead, (L_q, d_model), L_k = q_shape[:-2], q_shape[-2:], k_shape[-2]
@@ -134,38 +125,34 @@ def attention(q, k, v, params, mask=None, residual=None):
         )
     if k_shape[:-2] != lead:
         raise ShapeError(f"q and k leading axes differ: {q_shape} vs {k_shape}")
-    penalty = None
-    if mask is not None:
-        scores_shape = lead + (L_q, L_k)
-        if mask.allowed.shape != scores_shape and not _broadcasts(
-                mask.allowed.shape, scores_shape):
-            raise ShapeError(
-                f"mask shape {mask.allowed.shape} does not broadcast to "
-                f"(..., L_q, L_k) = {scores_shape}"
-            )
-        if not mask.allowed.any(axis=-1).all():
-            raise ContractError("mask leaves a query row with no visible keys")
-        penalty = np.where(mask.allowed, 0.0, MASK_PENALTY)
-        if penalty.ndim > 2:
-            penalty = penalty[..., None, :, :]  # the same for every head
+    penalty = None if mask is None else _penalty(mask, lead + (L_q, L_k))
     weights = (params.w_q, params.w_k, params.w_v, params.w_o)
-    return tn.attention(q, k, v, weights, params.n_heads, penalty, residual)
+    return tn.attention(q, k, v, weights, params.n_heads, penalty, norm)
 
 
-def _broadcasts(shape, target):
+def _penalty(mask, scores_shape):
+    """The additive softmax penalty, the same for every head, of a bool
+    ``mask`` that must broadcast to ``scores_shape`` and show each query a key."""
     try:
-        return np.broadcast_shapes(shape, target) == target
+        fits = np.broadcast_shapes(mask.shape, scores_shape) == scores_shape
     except ValueError:
-        return False
+        fits = False
+    if not fits:
+        raise ShapeError(
+            f"mask shape {mask.shape} does not broadcast to (..., L_q, L_k) = {scores_shape}")
+    if not mask.any(axis=-1).all():
+        raise ContractError("mask leaves a query row with no visible keys")
+    penalty = np.where(mask, 0.0, MASK_PENALTY)
+    return penalty[..., None, :, :] if penalty.ndim > 2 else penalty
 
 
-def layer_norm(x, p, eps=LAYER_NORM_EPS):
+def layer_norm(x, p):
     """Per-row normalization to zero mean / unit variance, then scale and
     shift by the ``LayerNormParams`` ``p``."""
     d = x.shape[-1]
     if p.gamma.shape != (d,) and p.gamma.shape != (1, d):
         raise ShapeError(f"gamma shape {p.gamma.shape} does not match d={d}")
-    return tn.layer_norm(x, p.gamma, p.beta, eps)
+    return tn.layer_norm(x, p)
 
 
 def sinusoidal_positions(length, d):

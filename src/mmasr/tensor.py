@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 _grad_enabled = True
+_NORM_EPS = 1e-5  # the layer norm's variance floor
 
 
 class no_grad:
@@ -232,20 +233,23 @@ def log_softmax_rows(x):
     return out
 
 
-def attention(q, k, v, weights, n_heads, penalty=None, residual=None):
+def attention(q, k, v, weights, n_heads, penalty=None, norm=None):
     """Multi-head scaled dot-product attention (Vaswani et al. 2017) as one node.
 
     ``q`` is [..., L_q x d] and ``k``, ``v`` are [..., L_k x d] with the same
     leading axes; ``weights`` are the [d x d] projections (w_q, w_k, w_v,
     w_o), head j owning columns j*d_k to (j+1)*d_k of w_q, w_k and w_v.
     ``penalty`` is a constant broadcastable to [..., h x L_q x L_k], added
-    to the scaled scores before the softmax. When ``q is k is v`` the three
-    input projections are one GEMM against the weights side by side, and
-    so are their backward products. A ``k`` or ``v`` that is not a Tensor
-    is a constant, as in add: no input gradient is computed for it. A
-    ``residual`` Tensor of q's shape is added to the output.
+    to the scaled scores before the softmax. A ``k`` or ``v`` that is not a
+    Tensor is a constant, as in add: no input gradient is computed for it.
+    With the layer norm ``norm`` (its gamma and beta), the node is the
+    pre-LN self-attention sub-block q + MHA(LN(q)): ``k`` and ``v`` must be
+    ``q``, and the three input projections of LN(q) are one GEMM against
+    the weights side by side, and so are their backward products.
     """
     w_q, w_k, w_v, w_o = weights
+    if norm is not None and not (k is q and v is q):
+        raise ContractError("a pre-LN attention node attends q to itself: k and v must be q")
     kd, vd = _value(k), _value(v)
     lead, (L_q, d), L_k = q.data.shape[:-2], q.data.shape[-2:], kd.shape[-2]
     d_k = d // n_heads
@@ -255,14 +259,17 @@ def attention(q, k, v, weights, n_heads, penalty=None, residual=None):
     n, ax = len(lead), tuple(range(len(lead)))
     swap, to_keys, from_keys = (ax + (n + 1, n, n + 2), ax + (n + 1, n + 2, n),
                                 ax + (n + 2, n, n + 1))
-    fused = q is k and k is v
-    rows = [x.reshape(-1, d) for x in (q.data, kd, vd)]
-    if fused:
+    if norm is not None:
+        h, norm_backward = _normalize(q, norm)
+        rows = h.reshape(-1, d)
         w_qkv = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)
-        proj = rows[0] @ w_qkv
+        proj = rows @ w_qkv
         projected = proj[:, :d], proj[:, d : 2 * d], proj[:, 2 * d :]
+        inputs = [q, norm.gamma, norm.beta]
     else:
+        rows = [x.reshape(-1, d) for x in (q.data, kd, vd)]
         projected = [r @ w.data for r, w in zip(rows, (w_q, w_k, w_v))]
+        inputs = _inputs(q, k, v)
     qh, kh, vh = (np.transpose(p.reshape(lead + (n, n_heads, d_k)), axes)
                   for p, n, axes in zip(projected, (L_q, L_k, L_k), (swap, to_keys, swap)))
     probs = np.matmul(qh, kh)  # [..., h x L_q x L_k]
@@ -276,14 +283,9 @@ def attention(q, k, v, weights, n_heads, penalty=None, residual=None):
     probs /= probs.sum(axis=-1, keepdims=True)
     merged = np.transpose(np.matmul(probs, vh), swap).reshape(-1, d)  # [N x d]
     y = (merged @ w_o.data).reshape(lead + (L_q, d))
-    out = Tensor(y if residual is None else residual.data + y,
-                 _inputs(residual, q, k, v) + list(weights))
+    out = Tensor(y if norm is None else q.data + y, inputs + list(weights))
 
     def backward(g):
-        if residual is not None:
-            # As in add, the residual takes ``g`` itself; ``g`` is read only
-            # before any other input's gradient is accumulated.
-            _accum(residual, g)
         g_rows = g.reshape(-1, d)
         _accum(w_o, merged.T @ g_rows)
         g_heads = np.transpose((g_rows @ w_o.data.T).reshape(lead + (L_q, n_heads, d_k)), swap)
@@ -295,11 +297,11 @@ def attention(q, k, v, weights, n_heads, penalty=None, residual=None):
         g_kh = np.swapaxes(qh, -1, -2) @ g_scores
         g_projected = [np.transpose(gh, axes).reshape(-1, d)
                        for gh, axes in ((g_qh, swap), (g_kh, from_keys), (g_vh, swap))]
-        if fused:
+        if norm is not None:
             g_proj = np.concatenate(g_projected, axis=1)
-            _accum(q, (g_proj @ w_qkv.T).reshape(q.data.shape))
-            for w, g_w in zip((w_q, w_k, w_v), np.split(rows[0].T @ g_proj, 3, axis=1)):
+            for w, g_w in zip((w_q, w_k, w_v), np.split(rows.T @ g_proj, 3, axis=1)):
                 _accum(w, g_w)
+            _accum(q, g + norm_backward((g_proj @ w_qkv.T).reshape(q.data.shape)))
             return
         for x, r, w, g_p in zip((q, k, v), rows, (w_q, w_k, w_v), g_projected):
             if isinstance(x, Tensor):
@@ -310,67 +312,76 @@ def attention(q, k, v, weights, n_heads, penalty=None, residual=None):
     return out
 
 
-def layer_norm(x, gamma, beta, eps):
-    """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis, as one node.
-
-    Backward is the closed form of layer normalization (Ba et al. 2016):
-    with y the normalized x and gy = g * gamma,
-    dx = (gy - mean(gy) - y * mean(gy * y)) / sqrt(var + eps).
-    """
-    xd = x.data
+def _normalize(x, norm):
+    """Layer norm (Ba et al. 2016) of ``x``'s last axis with ``norm``'s gamma
+    and beta, (x - mean) / sqrt(var + eps) * gamma + beta, and its backward,
+    which accumulates gamma's and beta's gradients and returns x's: with y
+    the normalized x and gy = g * gamma, that is
+    (gy - mean(gy) - y * mean(gy * y)) / sqrt(var + eps)."""
+    xd, gamma, beta = x.data, norm.gamma, norm.beta
     d = xd.shape[-1]
     centered = xd - xd.sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + eps)
+    inv_std = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + _NORM_EPS)
     y = centered * inv_std
-    out = Tensor(y * gamma.data + beta.data, (x, gamma, beta))
 
     def backward(g):
         _accum(beta, _unbroadcast(g, beta.data.shape))
         _accum(gamma, _unbroadcast(g * y, gamma.data.shape))
         gy = g * gamma.data
-        _accum(x, inv_std * (gy - gy.sum(axis=-1, keepdims=True) / d
-                             - y * ((gy * y).sum(axis=-1, keepdims=True) / d)))
+        return inv_std * (gy - gy.sum(axis=-1, keepdims=True) / d
+                          - y * ((gy * y).sum(axis=-1, keepdims=True) / d))
 
-    _register(out, backward)
+    return y * gamma.data + beta.data, backward
+
+
+def layer_norm(x, norm):
+    """Layer norm of ``x`` with ``norm``'s gamma and beta, as one node."""
+    h, norm_backward = _normalize(x, norm)
+    out = Tensor(h, (x, norm.gamma, norm.beta))
+    _register(out, lambda g: _accum(x, norm_backward(g)))
     return out
 
 
-def feed_forward(residual, x, w1, w2, c):
-    """residual + c * relu(x @ w1) @ w2 over the last axis, as one node."""
+def feed_forward(x, norm, w1, w2, c):
+    """The pre-LN feed-forward sub-block x + c * relu(LN(x) @ w1) @ w2 over
+    the last axis, as one node; ``norm`` holds the layer norm's gamma and beta."""
     xd = x.data
-    rows = xd.reshape(-1, xd.shape[-1])
+    h, norm_backward = _normalize(x, norm)
+    rows = h.reshape(-1, xd.shape[-1])
     pre = rows @ w1.data
     hidden = np.maximum(pre, 0.0)
     y = (hidden @ w2.data).reshape(xd.shape[:-1] + (w2.data.shape[1],))
-    out = Tensor(residual.data + y * c, (residual, x, w1, w2))
+    out = Tensor(xd + y * c, (x, norm.gamma, norm.beta, w1, w2))
 
     def backward(g):
-        _accum(residual, g)  # read only before x's gradient, as in attention
         g_rows = (g * c).reshape(-1, g.shape[-1])
         _accum(w2, hidden.T @ g_rows)
         g_pre = (g_rows @ w2.data.T) * (pre > 0.0)
         _accum(w1, rows.T @ g_pre)
-        _accum(x, (g_pre @ w1.data.T).reshape(xd.shape))
+        _accum(x, g + norm_backward((g_pre @ w1.data.T).reshape(xd.shape)))
 
     _register(out, backward)
     return out
 
 
-def conv_module(residual, x, w_in, kernel, w_out, frame_mask=None):
-    """residual + silu(depthwise(x @ w_in)) @ w_out along axis -2, as one node.
+def conv_module(x, norm, w_in, kernel, w_out, frame_mask=None):
+    """The pre-LN conv sub-block x + silu(depthwise(LN(x) @ w_in)) @ w_out
+    along axis -2, as one node; ``norm`` holds the layer norm's gamma and beta.
 
     ``x`` is [..., L x d]. ``frame_mask`` (a constant broadcastable to x, 1
-    on valid frames and 0 on padding) zeroes x before ``w_in``, so padded
-    frames get no gradient. The depthwise convolution takes ``kernel``
-    [width x d] with odd width: row t is sum_j h[t + j - width // 2] *
-    kernel[j], rows outside h being zero. SiLU is h * sigmoid(h).
+    on valid frames and 0 on padding) zeroes LN(x) before ``w_in``, so
+    padded frames get no gradient through the convolution. The depthwise
+    convolution takes ``kernel`` [width x d] with odd width: row t is
+    sum_j h[t + j - width // 2] * kernel[j], rows outside h being zero.
+    SiLU is h * sigmoid(h).
     """
     width, d = kernel.data.shape
     if width % 2 == 0:
         raise ConfigError(f"conv width must be odd, got {width}")
     if w_in.data.shape[1] != d:
         raise ShapeError(f"kernel channels {d} != w_in output width {w_in.data.shape[1]}")
-    xd = x.data if frame_mask is None else x.data * frame_mask
+    normed, norm_backward = _normalize(x, norm)
+    xd = normed if frame_mask is None else normed * frame_mask
     lead, L, half = xd.shape[:-2], xd.shape[-2], width // 2
     rows = xd.reshape(-1, xd.shape[-1])
     padded = np.pad((rows @ w_in.data).reshape(lead + (L, d)),
@@ -380,11 +391,10 @@ def conv_module(residual, x, w_in, kernel, w_out, frame_mask=None):
         h += padded[..., j : j + L, :] * kernel.data[j]
     sig = 1.0 / (1.0 + np.exp(-h))
     act = (h * sig).reshape(-1, d)
-    out = Tensor(residual.data + (act @ w_out.data).reshape(lead + (L, w_out.data.shape[1])),
-                 (residual, x, w_in, kernel, w_out))
+    out = Tensor(x.data + (act @ w_out.data).reshape(lead + (L, w_out.data.shape[1])),
+                 (x, norm.gamma, norm.beta, w_in, kernel, w_out))
 
     def backward(g):
-        _accum(residual, g)  # read only before x's gradient, as in attention
         g_rows = g.reshape(-1, g.shape[-1])
         _accum(w_out, act.T @ g_rows)
         g_h = (g_rows @ w_out.data.T).reshape(h.shape) * (sig + h * sig * (1.0 - sig))
@@ -397,7 +407,7 @@ def conv_module(residual, x, w_in, kernel, w_out, frame_mask=None):
         g_in = g_padded[..., half : half + L, :].reshape(-1, d)
         _accum(w_in, rows.T @ g_in)
         g_x = (g_in @ w_in.data.T).reshape(xd.shape)
-        _accum(x, g_x if frame_mask is None else g_x * frame_mask)
+        _accum(x, g + norm_backward(g_x if frame_mask is None else g_x * frame_mask))
 
     _register(out, backward)
     return out

@@ -24,7 +24,6 @@ from .layers import (
     init_feed_forward,
     init_layer_norm,
     key_mask,
-    layer_norm,
 )
 from .tensor import Tensor
 
@@ -80,8 +79,7 @@ def encode_visual(ocr_tokens, params, frozen=False, lengths=None):
 def _forward(tokens, params, lengths):
     i_len = tokens.shape[-1]
     x = embed(tokens, params.embed)
-    h = layer_norm(x, params.ln_attn)
     # A row without tokens attends to its padding; the decoder discards it.
-    x = attention(h, h, h, params.attn, mask=key_mask(lengths, i_len), residual=x)
-    x = tn.feed_forward(x, layer_norm(x, params.ln_ffn), params.ffn.w1, params.ffn.w2, 1.0)
+    x = attention(x, x, x, params.attn, key_mask(lengths, i_len), norm=params.ln_attn)
+    x = tn.feed_forward(x, params.ln_ffn, params.ffn.w1, params.ffn.w2, 1.0)
     return VisualFeatures(frames=x, i_len=i_len, lengths=lengths)

@@ -1,11 +1,18 @@
 """End-to-end command-line pipeline on a miniature corpus."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
-from mmasr.cli import run_cli
+import mmasr
+from mmasr.cli import _read_hypotheses, load_run_config, run_cli
+from mmasr.data import read_split, read_vocab
 from mmasr.decoder import DecoderConfig
+from mmasr.errors import ConfigError, CorpusFormatError
 from mmasr.train import load_checkpoint, save_checkpoint
 
 CONFIG = {
@@ -380,3 +387,50 @@ def test_grad_check_command(capsys):
 def test_grad_check_refuses_arguments_it_cannot_use(capsys, args):
     assert run_cli(["grad-check"] + args) == 1
     assert args[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trained, other", [({"v": 6}, {"v": 8}), ({"v": 8}, {"v": 6}),
+                                            ({"d_in": 4}, {"d_in": 5})])
+def test_a_checkpoint_refuses_a_corpus_it_was_not_trained_on(tmp_path, capsys, trained, other):
+    # More content ids than the checkpoint knows used to end in an IndexError
+    # traceback; fewer decoded silently, its ids meaning other tokens.
+    for name, changes in (("trained", trained), ("other", other)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(dict(CONFIG, corpus=dict(CONFIG["corpus"], **changes))))
+        assert run_cli(["gen-data", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    cfg, out, other_data = str(tmp_path / "trained.json"), tmp_path / "run", tmp_path / "other"
+    assert run_cli(["train", "--config", cfg, "--stage", "1", "--data", str(tmp_path / "trained"),
+                    "--out", str(out)]) == 0
+    ckpt = str(out / "stage1.ckpt")
+    capsys.readouterr()
+    assert run_cli(["train", "--config", cfg, "--stage", "2", "--data", str(other_data),
+                    "--out", str(out), "--stage1-ckpt", ckpt]) == 2
+    assert f"checkpoint {ckpt} has (d_in, v_content, n_background)" in capsys.readouterr().err
+    assert not (out / "stage2.ckpt").exists()
+    hyp = tmp_path / "hyp.jsonl"
+    assert run_cli(["decode", "--ckpt", ckpt, "--corpus", str(other_data), "--beam", "1",
+                    "--out", str(hyp)]) == 2
+    assert "but the corpus has" in capsys.readouterr().err
+    assert not hyp.exists()
+
+
+@pytest.mark.parametrize("reader, error", [
+    (load_run_config, ConfigError), (read_vocab, CorpusFormatError),
+    (lambda p: read_split(p, None), CorpusFormatError),
+    (_read_hypotheses, CorpusFormatError),
+], ids=["config", "vocab", "split", "hypotheses"])
+def test_a_file_that_is_not_utf8_is_named_in_the_error(tmp_path, reader, error):
+    path = tmp_path / "not-utf8.json"
+    path.write_bytes(b'\xff{"id": "a"}\n')
+    with pytest.raises(error, match=re.escape(f"{path} is not UTF-8 text")):
+        reader(str(path))
+
+
+def test_python_m_mmasr_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mmasr.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "mmasr", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "gen-data" in done.stdout

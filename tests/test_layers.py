@@ -8,11 +8,12 @@ from mmasr.errors import ConfigError, ContractError, ShapeError, VocabError
 from mmasr.layers import (
     AttentionParams,
     LayerNormParams,
-    Mask,
     attention,
+    causal_mask,
     embed,
     init_attention_params,
     init_layer_norm,
+    key_mask,
     layer_norm,
     sinusoidal_positions,
 )
@@ -91,9 +92,9 @@ def test_attention_multi_head_oracle():
         kv = RNG.standard_normal((5, d))
         got = attention(Tensor(q), Tensor(kv), Tensor(kv), p).data
         assert np.max(np.abs(got - np_attention(q, kv, kv, p))) < 1e-12
-        mask = Mask.causal(5)
+        mask = causal_mask(5)
         got = attention(Tensor(kv), Tensor(kv), Tensor(kv), p, mask=mask).data
-        expected = np_attention(kv, kv, kv, p, mask.allowed)
+        expected = np_attention(kv, kv, kv, p, mask)
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -104,7 +105,7 @@ def _graph_nodes(out):
 def test_attention_node_count_does_not_depend_on_heads():
     d = 8
     x = Tensor(RNG.standard_normal((4, d)))
-    counts = {_graph_nodes(attention(x, x, x, _params(d, heads), mask=Mask.causal(4)))
+    counts = {_graph_nodes(attention(x, x, x, _params(d, heads), mask=causal_mask(4)))
               for heads in (1, 2, 4)}
     assert counts == {1}
 
@@ -159,11 +160,10 @@ def test_fused_attention_matches_per_head_oracle_in_values_and_grads():
         weights = (p.w_q, p.w_k, p.w_v, p.w_o)
         for shape in ((5, d), (3, 5, d)):
             x, g = RNG.standard_normal(shape), RNG.standard_normal(shape)
-            keys = Mask.causal(5) if len(shape) == 2 else Mask(
-                Mask.causal(5).allowed & Mask.keys([5, 3, 1], 5).allowed)
+            keys = causal_mask(5) if len(shape) == 2 else (
+                causal_mask(5) & key_mask([5, 3, 1], 5))
             for mask in (None, keys):
-                allowed = None if mask is None else mask.allowed
-                want = np_attention_and_grads(x, x, x, p, g, allowed)
+                want = np_attention_and_grads(x, x, x, p, g, mask)
                 # one tensor as q, k and v, then three tensors with its values
                 for inputs in ([Tensor(x)] * 3, [Tensor(x.copy()) for _ in range(3)]):
                     for w in weights:
@@ -196,7 +196,7 @@ def test_causal_mask_blocks_future_bitwise():
     d = 4
     p = _params(d, 2)
     x = RNG.standard_normal((5, d))
-    mask = Mask.causal(5)
+    mask = causal_mask(5)
     base = attention(Tensor(x), Tensor(x.copy()), Tensor(x.copy()), p, mask=mask).data
     y = x.copy()
     y[4] += 10.0  # only the last position changes
@@ -209,7 +209,7 @@ def test_all_masked_row_is_contract_error():
     d = 4
     p = _params(d, 1)
     x = Tensor(RNG.standard_normal((2, d)))
-    bad = Mask(np.array([[True, True], [False, False]]))
+    bad = np.array([[True, True], [False, False]])
     with pytest.raises(ContractError):
         attention(x, x, x, p, mask=bad)
 
@@ -219,7 +219,7 @@ def test_mask_shape_mismatch():
     p = _params(d, 1)
     x = Tensor(RNG.standard_normal((3, d)))
     with pytest.raises(ShapeError):
-        attention(x, x, x, p, mask=Mask.causal(2))
+        attention(x, x, x, p, mask=causal_mask(2))
 
 
 def test_attention_d_model_mismatch():
@@ -261,34 +261,38 @@ def test_layer_norm_checks_the_gamma_shape():
         layer_norm(Tensor(np.ones((2, 4))), init_layer_norm(3))
 
 
+def _np_layer_norm(x):
+    """The layer norm of unit gamma and zero beta."""
+    return (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+
+
 def test_feed_forward_zero_and_identity():
-    x, residual = RNG.standard_normal((3, 4)), Tensor(RNG.standard_normal((3, 4)))
-    zero = tn.feed_forward(residual, Tensor(x), Tensor(np.zeros((4, 6))),
+    # Zero weights leave x; identity weights add relu of x's layer norm.
+    x, norm = Tensor(RNG.standard_normal((3, 4))), init_layer_norm(4)
+    zero = tn.feed_forward(x, norm, Tensor(np.zeros((4, 6))),
                            Tensor(np.zeros((6, 4))), 0.5).data
-    assert np.array_equal(zero, residual.data)
-    pos = np.abs(x)
-    out = tn.feed_forward(Tensor(np.zeros((3, 4))), Tensor(pos), Tensor(np.eye(4)),
-                          Tensor(np.eye(4)), 1.0).data
-    assert np.array_equal(out, pos)
+    assert np.array_equal(zero, x.data)
+    out = tn.feed_forward(x, norm, Tensor(np.eye(4)), Tensor(np.eye(4)), 1.0).data
+    assert np.array_equal(out, x.data + np.maximum(layer_norm(x, norm).data, 0.0))
 
 
 def test_feed_forward_loop_oracle():
-    x, residual = RNG.standard_normal((3, 4)), RNG.standard_normal((3, 4))
+    x = RNG.standard_normal((3, 4))
     w1 = RNG.standard_normal((4, 6))
     w2 = RNG.standard_normal((6, 4))
-    got = tn.feed_forward(Tensor(residual), Tensor(x), Tensor(w1), Tensor(w2), 0.5).data
-    expected = residual.copy()
+    got = tn.feed_forward(Tensor(x), init_layer_norm(4), Tensor(w1), Tensor(w2), 0.5).data
+    h, expected = _np_layer_norm(x), x.copy()
     for t in range(3):
         for j in range(4):
-            expected[t, j] += 0.5 * sum(max(x[t] @ w1[:, k], 0.0) * w2[k, j] for k in range(6))
+            expected[t, j] += 0.5 * sum(max(h[t] @ w1[:, k], 0.0) * w2[k, j] for k in range(6))
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
-def _conv(x, kernel, residual=None):
-    """The conv module with identity projections: residual + silu(depthwise(x))."""
-    eye = Tensor(np.eye(x.shape[-1]))
-    residual = Tensor(np.zeros(x.shape)) if residual is None else residual
-    return tn.conv_module(residual, Tensor(x), eye, Tensor(kernel), eye).data
+def _conv(x, kernel):
+    """The conv module with identity projections and a unit layer norm,
+    x + silu(depthwise(h)), and h, the layer norm of x."""
+    eye, x, norm = Tensor(np.eye(x.shape[-1])), Tensor(x), init_layer_norm(x.shape[-1])
+    return tn.conv_module(x, norm, eye, Tensor(kernel), eye).data, layer_norm(x, norm).data
 
 
 def _silu(h):
@@ -300,26 +304,26 @@ def test_conv_delta_kernel_is_identity():
     x = RNG.standard_normal((6, 3))
     kernel = np.zeros((5, 3))
     kernel[2, :] = 1.0
-    assert np.array_equal(_conv(x, kernel), _silu(x))
+    out, h = _conv(x, kernel)
+    assert np.array_equal(out, x + _silu(h))
 
 
 def test_conv_zero_kernel():
-    # The zero kernel leaves the residual: SiLU(0) is 0.
-    residual = Tensor(RNG.standard_normal((4, 3)))
-    assert np.array_equal(_conv(RNG.standard_normal((4, 3)), np.zeros((3, 3)), residual),
-                          residual.data)
+    # The zero kernel leaves x: SiLU(0) is 0.
+    x = RNG.standard_normal((4, 3))
+    assert np.array_equal(_conv(x, np.zeros((3, 3)))[0], x)
 
 
 def test_conv_width3_sliding_window_oracle():
     L, d = 6, 2
     x = RNG.standard_normal((L, d))
     kernel = RNG.standard_normal((3, d))
-    padded = np.vstack([np.zeros((1, d)), x, np.zeros((1, d))])
+    padded = np.vstack([np.zeros((1, d)), _np_layer_norm(x), np.zeros((1, d))])
     expected = np.zeros((L, d))
     for t in range(L):
         for j in range(3):
             expected[t] += padded[t + j] * kernel[j]
-    assert np.max(np.abs(_conv(x, kernel) - _silu(expected))) < 1e-12
+    assert np.max(np.abs(_conv(x, kernel)[0] - x - _silu(expected))) < 1e-12
 
 
 def test_conv_even_width_rejected():
@@ -375,12 +379,12 @@ def test_attention_over_a_padded_batch_matches_each_row():
     p = _params(d, heads)
     lengths = np.array([5, 3, 1])
     x = RNG.standard_normal((3, 5, d))
-    causal_keys = Mask(Mask.causal(5).allowed & Mask.keys(lengths, 5).allowed)
-    for mask in (Mask.keys(lengths, 5), causal_keys):
+    causal_keys = causal_mask(5) & key_mask(lengths, 5)
+    for mask in (key_mask(lengths, 5), causal_keys):
         got = attention(Tensor(x), Tensor(x), Tensor(x), p, mask=mask).data
         for b, n in enumerate(lengths):
             row = Tensor(x[b, :n])
-            row_mask = Mask.causal(n) if mask is causal_keys else None
+            row_mask = causal_mask(n) if mask is causal_keys else None
             alone = attention(row, row, row, p, mask=row_mask).data
             assert np.max(np.abs(got[b, :n] - alone)) < 1e-12
 
@@ -388,8 +392,8 @@ def test_attention_over_a_padded_batch_matches_each_row():
 def test_batched_mask_must_broadcast_and_see_a_key():
     p = _params(4, 2)
     x = Tensor(RNG.standard_normal((2, 3, 4)))
-    attention(x, x, x, p, mask=Mask.keys([3, 1], 3))  # [B x 1 x L_k]
+    attention(x, x, x, p, mask=key_mask([3, 1], 3))  # [B x 1 x L_k]
     with pytest.raises(ShapeError):
-        attention(x, x, x, p, mask=Mask.keys([3, 1, 2], 3))
-    with pytest.raises(ContractError):
-        attention(x, x, x, p, mask=Mask.keys([3, 0], 3))
+        attention(x, x, x, p, mask=key_mask([3, 1, 2], 3))
+    with pytest.raises(ContractError):  # key_mask would show the empty row a key
+        attention(x, x, x, p, mask=np.arange(3) < np.array([3, 0])[:, None, None])

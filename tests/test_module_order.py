@@ -17,6 +17,7 @@ LEVELS = [
     {"train"},
     {"gradsuite"},
     {"cli"},  # imports gradsuite for `grad-check`
+    {"__main__"},  # `python -m mmasr`
 ]
 OUTSIDE = {"errors", "data", "metrics", "__init__"}
 # The CTC node is built from tensor's recording helpers; gradsuite walks

@@ -1,5 +1,7 @@
 """Autodiff core: oracles for forward values, finite differences for grads."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from mmasr import tensor as tn
 from mmasr.errors import ContractError, NumericError, ShapeError
 from mmasr.gradsuite import grad_check, param_grad_check
+from mmasr.layers import LayerNormParams, causal_mask, init_layer_norm, key_mask
 from mmasr.tensor import Tensor
 
 RNG = np.random.default_rng(1234)
@@ -192,15 +195,16 @@ def test_no_grad_records_no_graph():
 
 
 def test_silu_grad():
-    # With identity projections, a centered delta kernel and a zero residual,
-    # the conv module is SiLU alone.
+    # With identity projections and a centered delta kernel, the conv module
+    # adds the SiLU of its layer norm h to x.
     x, eye, delta = RNG.standard_normal((3, 3)), Tensor(np.eye(3)), np.zeros((3, 3))
     delta[1] = 1.0
-    zero = Tensor(np.zeros((3, 3)))
-    silu = tn.conv_module(zero, Tensor(x), eye, Tensor(delta), eye)
-    assert np.max(np.abs(silu.data - x / (1.0 + np.exp(-x)))) < 1e-12
+    norm = init_layer_norm(3)
+    h = tn.layer_norm(Tensor(x), norm).data
+    silu = tn.conv_module(Tensor(x), norm, eye, Tensor(delta), eye)
+    assert np.max(np.abs(silu.data - x - h / (1.0 + np.exp(-h)))) < 1e-12
     assert grad_check(lambda t: tn.sum_all(
-        tn.conv_module(zero, t, eye, Tensor(delta), eye)), x) < 1e-6
+        tn.conv_module(t, norm, eye, Tensor(delta), eye)), x) < 1e-6
 
 
 def _grad_check_weighted(f, x):
@@ -247,54 +251,105 @@ def test_layer_norm_node_matches_numpy_oracle():
         x = RNG.standard_normal(shape) * 3.0 + 1.0
         gamma, beta, g = RNG.standard_normal(6), RNG.standard_normal(6), RNG.standard_normal(shape)
         leaves = [Tensor(a) for a in (x, gamma, beta)]
-        out = tn.layer_norm(*leaves, 1e-5)
+        norm = LayerNormParams(*leaves[1:])
+        out = tn.layer_norm(leaves[0], norm)
         tn.sum_all(tn.mul(out, g)).backward()
         expected = np_layer_norm_and_grads(x, gamma, beta, g, 1e-5)
         for got, want in zip([out.data] + [t.grad for t in leaves], expected):
             assert np.max(np.abs(got - want)) < 1e-12
-        assert _grad_check_weighted(lambda t: tn.layer_norm(t, leaves[1], leaves[2], 1e-5),
-                                    x) < 1e-6
+        assert _grad_check_weighted(lambda t: tn.layer_norm(t, norm), x) < 1e-6
 
 
 def test_feed_forward_node_matches_numpy_oracle():
+    # x + 0.5 * relu(h @ w1) @ w2 row by row, h the layer norm's oracle output,
+    # whose oracle also takes h's gradient back to x, gamma and beta.
     for shape in ((4, 5), (2, 3, 5)):
         x, g = RNG.standard_normal(shape), RNG.standard_normal(shape)
         w1, w2 = RNG.standard_normal((5, 7)), RNG.standard_normal((7, 5))
-        residual = RNG.standard_normal(shape)
-        leaves = [Tensor(a) for a in (residual, x, w1, w2)]
-        out = tn.feed_forward(*leaves, 0.5)
+        gamma, beta = RNG.standard_normal(5), RNG.standard_normal(5)
+        leaves = [Tensor(a) for a in (x, gamma, beta, w1, w2)]
+        out = tn.feed_forward(leaves[0], LayerNormParams(*leaves[1:3]), *leaves[3:], 0.5)
         tn.sum_all(tn.mul(out, g)).backward()
-        want_out, want_x = residual.copy(), np.empty_like(x)
+        h = np_layer_norm_and_grads(x, gamma, beta, g, 1e-5)[0]
+        want_out, g_h = x.copy(), np.empty_like(x)
         want_w1, want_w2 = np.zeros_like(w1), np.zeros_like(w2)
-        for row, g_row, o, g_x in zip(x.reshape(-1, 5), g.reshape(-1, 5),
-                                      want_out.reshape(-1, 5), want_x.reshape(-1, 5)):
+        for row, g_row, o, g_h_row in zip(h.reshape(-1, 5), g.reshape(-1, 5),
+                                          want_out.reshape(-1, 5), g_h.reshape(-1, 5)):
             pre = row @ w1
             o += 0.5 * (np.maximum(pre, 0.0) @ w2)
             g_pre = (w2 @ (0.5 * g_row)) * (pre > 0.0)
-            g_x[:] = w1 @ g_pre
+            g_h_row[:] = w1 @ g_pre
             want_w1 += np.outer(row, g_pre)
             want_w2 += np.outer(np.maximum(pre, 0.0), 0.5 * g_row)
+        _, g_x, want_gamma, want_beta = np_layer_norm_and_grads(x, gamma, beta, g_h, 1e-5)
         for got, want in zip([out.data] + [t.grad for t in leaves],
-                             (want_out, g, want_x, want_w1, want_w2)):
+                             (want_out, g + g_x, want_gamma, want_beta, want_w1, want_w2)):
             assert np.max(np.abs(got - want)) < 1e-12
 
 
-def _reference_feed_forward(x, w1, w2):
-    """relu(x @ w1) @ w2 as one node without a residual: the feed-forward
-    node before it took in the residual add and the scale."""
+def _reference_feed_forward(residual, x, w1, w2, c):
+    """residual + c * relu(x @ w1) @ w2 as one node: the feed-forward node
+    before it took in the layer norm."""
     xd = x.data
     rows = xd.reshape(-1, xd.shape[-1])
     pre = rows @ w1.data
     hidden = np.maximum(pre, 0.0)
-    out = Tensor((hidden @ w2.data).reshape(xd.shape[:-1] + (w2.data.shape[1],)),
-                 (x, w1, w2))
+    y = (hidden @ w2.data).reshape(xd.shape[:-1] + (w2.data.shape[1],))
+    out = Tensor(residual.data + y * c, (residual, x, w1, w2))
 
     def backward(g):
-        g_rows = g.reshape(-1, g.shape[-1])
+        tn._accum(residual, g)
+        g_rows = (g * c).reshape(-1, g.shape[-1])
         tn._accum(w2, hidden.T @ g_rows)
         g_pre = (g_rows @ w2.data.T) * (pre > 0.0)
         tn._accum(w1, rows.T @ g_pre)
         tn._accum(x, (g_pre @ w1.data.T).reshape(xd.shape))
+
+    tn._register(out, backward)
+    return out
+
+
+def _reference_self_attention(residual, x, weights, n_heads, penalty):
+    """residual + MHA(x, x, x) as one node, its q/k/v projections one GEMM:
+    the self-attention node before it took in the layer norm."""
+    w_q, w_k, w_v, w_o = weights
+    lead, (L, d) = x.data.shape[:-2], x.data.shape[-2:]
+    d_k = d // n_heads
+    c = 1.0 / math.sqrt(d_k)
+    n, ax = len(lead), tuple(range(len(lead)))
+    swap, to_keys, from_keys = (ax + (n + 1, n, n + 2), ax + (n + 1, n + 2, n),
+                                ax + (n + 2, n, n + 1))
+    rows = x.data.reshape(-1, d)
+    w_qkv = np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)
+    proj = rows @ w_qkv
+    qh, kh, vh = (np.transpose(p.reshape(lead + (L, n_heads, d_k)), axes) for p, axes in
+                  zip((proj[:, :d], proj[:, d : 2 * d], proj[:, 2 * d :]), (swap, to_keys, swap)))
+    probs = np.matmul(qh, kh)
+    probs *= c
+    probs += penalty
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    merged = np.transpose(np.matmul(probs, vh), swap).reshape(-1, d)
+    out = Tensor(residual.data + (merged @ w_o.data).reshape(lead + (L, d)),
+                 (residual, x) + tuple(weights))
+
+    def backward(g):
+        tn._accum(residual, g)
+        g_rows = g.reshape(-1, d)
+        tn._accum(w_o, merged.T @ g_rows)
+        g_heads = np.transpose((g_rows @ w_o.data.T).reshape(lead + (L, n_heads, d_k)), swap)
+        g_probs = g_heads @ np.swapaxes(vh, -1, -2)
+        g_vh = np.swapaxes(probs, -1, -2) @ g_heads
+        g_scores = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs
+        g_scores *= c
+        g_qh = g_scores @ np.swapaxes(kh, -1, -2)
+        g_kh = np.swapaxes(qh, -1, -2) @ g_scores
+        g_proj = np.concatenate([np.transpose(gh, axes).reshape(-1, d) for gh, axes in
+                                 ((g_qh, swap), (g_kh, from_keys), (g_vh, swap))], axis=1)
+        tn._accum(x, (g_proj @ w_qkv.T).reshape(x.data.shape))
+        for w, g_w in zip((w_q, w_k, w_v), np.split(rows.T @ g_proj, 3, axis=1)):
+            tn._accum(w, g_w)
 
     tn._register(out, backward)
     return out
@@ -355,17 +410,31 @@ def _assert_bitwise(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _folded(node):
+    """``node`` over operands (x, gamma, beta, *rest), the pre-LN sub-block."""
+    return lambda x, gamma, beta, *rest: node(x, LayerNormParams(gamma, beta), *rest)
+
+
+def _composed(body):
+    """The composed chain the folded node replaces: a layer norm node, then
+    ``body`` taking x as its residual and the norm's output as its input."""
+    return lambda x, gamma, beta, *rest: body(
+        x, tn.layer_norm(x, LayerNormParams(gamma, beta)), *rest)
+
+
+def _norm_arrays(d):
+    return RNG.standard_normal(d), RNG.standard_normal(d)  # gamma, beta
+
+
 def test_feed_forward_node_is_bitwise_the_composed_chain():
-    # The residual add and the macaron scale of the composed chain,
-    # residual + scale(ff(x), c), folded into the node.
     for shape in ((4, 5), (2, 3, 5)):
-        residual, x, g = (RNG.standard_normal(shape) for _ in range(3))
+        x, g = RNG.standard_normal(shape), RNG.standard_normal(shape)
         w1, w2 = RNG.standard_normal((5, 7)), RNG.standard_normal((7, 5))
-        arrays = (residual, x, w1, w2)
+        arrays = (x,) + _norm_arrays(5) + (w1, w2)
         for c in (0.5, 1.0):
-            fused = _outputs_and_grads(lambda r, *a: tn.feed_forward(r, *a, c), arrays, g)
+            fused = _outputs_and_grads(lambda *a: _folded(tn.feed_forward)(*a, c), arrays, g)
             composed = _outputs_and_grads(
-                lambda r, *a: tn.add(r, tn.scale(_reference_feed_forward(*a), c)), arrays, g)
+                lambda *a: _composed(_reference_feed_forward)(*a, c), arrays, g)
             _assert_bitwise(fused, composed)
 
 
@@ -378,14 +447,47 @@ def test_conv_module_node_is_bitwise_the_composed_chain():
         kernel = RNG.standard_normal((width, d))
         for shape, frame_mask in (((5, d), None), ((3, 6, d), None),
                                   ((3, 6, d), padded_rows)):
-            residual, x, g = (RNG.standard_normal(shape) for _ in range(3))
-            arrays = (residual, x, w_in, kernel, w_out)
-            got = _outputs_and_grads(lambda *a: tn.conv_module(*a, frame_mask), arrays, g)
+            x, g = RNG.standard_normal(shape), RNG.standard_normal(shape)
+            arrays = (x,) + _norm_arrays(d) + (w_in, kernel, w_out)
+            got = _outputs_and_grads(
+                lambda *a: _folded(tn.conv_module)(*a, frame_mask), arrays, g)
             _assert_bitwise(got, _outputs_and_grads(
-                lambda *a: _reference_conv_module(*a, frame_mask), arrays, g))
-            if frame_mask is not None:
+                lambda *a: _composed(_reference_conv_module)(*a, frame_mask), arrays, g))
+            if frame_mask is not None:  # padding passes on its residual gradient alone
                 for b, n in enumerate(lengths):
-                    assert np.array_equal(got[2][b, n:], np.zeros((6 - n, d)))
+                    assert np.array_equal(got[1][b, n:], g[b, n:])
+
+
+def test_self_attention_node_is_bitwise_the_composed_chain():
+    d = 8
+    lengths = np.array([5, 3, 1])
+    for heads in (1, 2, 4):
+        weights = tuple(RNG.standard_normal((d, d)) for _ in range(4))
+        for shape, mask in (((5, d), causal_mask(5)),
+                            ((3, 5, d), causal_mask(5) & key_mask(lengths, 5))):
+            penalty = np.where(mask, 0.0, -1e9)
+            if penalty.ndim > 2:
+                penalty = penalty[..., None, :, :]
+            x, g = RNG.standard_normal(shape), RNG.standard_normal(shape)
+            arrays = (x,) + _norm_arrays(d) + weights
+
+            def node(x, norm, *w):
+                return tn.attention(x, x, x, w, heads, penalty, norm)
+
+            _assert_bitwise(
+                _outputs_and_grads(_folded(node), arrays, g),
+                _outputs_and_grads(_composed(
+                    lambda r, h, *w: _reference_self_attention(r, h, w, heads, penalty)),
+                    arrays, g))
+
+
+def test_pre_ln_attention_attends_q_to_itself():
+    x, norm = Tensor(RNG.standard_normal((3, 4))), init_layer_norm(4)
+    weights = [Tensor(np.eye(4)) for _ in range(4)]
+    with pytest.raises(ContractError, match="k and v must be q"):
+        tn.attention(x, Tensor(x.data), x, weights, 2, norm=norm)
+
+
 def test_numpy_operands_are_constants():
     # A numpy operand is not recorded, and the Tensor operand's gradient is
     # bitwise what it is when the same values come in as a Tensor leaf.
@@ -420,12 +522,12 @@ def test_conv_module_grads_at_every_length():
     # Lengths below, at and above the kernel's half width.
     kernel, w_in, w_out = (RNG.standard_normal(s) for s in ((5, 3), (3, 3), (3, 3)))
     for length in (1, 2, 3, 7):
-        x, residual = RNG.standard_normal((length, 3)), Tensor(np.zeros((length, 3)))
-        operands = [Tensor(a) for a in (x, w_in, kernel, w_out)]
-        for i, a in enumerate((x, w_in, kernel, w_out)):
+        x = RNG.standard_normal((length, 3))
+        operands = [Tensor(a) for a in (x,) + _norm_arrays(3) + (w_in, kernel, w_out)]
+        for i, t in enumerate(operands):
             def f(t, i=i):
-                return tn.conv_module(residual, *operands[:i], t, *operands[i + 1:])
-            assert _grad_check_weighted(f, a) < 1e-6
+                return _folded(tn.conv_module)(*operands[:i], t, *operands[i + 1:])
+            assert _grad_check_weighted(f, t.data) < 1e-6
 
 
 def test_matmul_with_2d_weight_flattens_leading_axes():
@@ -448,7 +550,7 @@ def _backward_keeping_every_grad(root):
 
 def test_backward_frees_interior_grads_and_keeps_leaf_grads_bitwise():
     def build(x, w):
-        h = tn.feed_forward(x, x, w, w, 0.5)
+        h = tn.feed_forward(x, init_layer_norm(4), w, w, 0.5)
         return tn.sum_all(tn.mul(tn.log_softmax_rows(h), tn.add(h, x)))
 
     x_data, w_data = RNG.standard_normal((3, 4)), RNG.standard_normal((4, 4))
@@ -487,11 +589,10 @@ def test_conv_module_over_a_batch_matches_each_row():
     kernel, w_in, w_out = (RNG.standard_normal(s) for s in ((3, 2), (2, 2), (2, 2)))
     x = RNG.standard_normal((2, 4, 2))
     frame_mask = (np.arange(4) < np.array(lengths)[:, None])[..., None].astype(np.float64)
-    weights = [Tensor(a) for a in (w_in, kernel, w_out)]
-    got = tn.conv_module(Tensor(np.zeros_like(x)), Tensor(x), *weights, frame_mask).data
+    weights = [init_layer_norm(2)] + [Tensor(a) for a in (w_in, kernel, w_out)]
+    got = tn.conv_module(Tensor(x), *weights, frame_mask).data
     for b, n in enumerate(lengths):
-        alone = tn.conv_module(Tensor(np.zeros((n, 2))), Tensor(x[b, :n]), *weights).data
+        alone = tn.conv_module(Tensor(x[b, :n]), *weights).data
         assert np.max(np.abs(got[b, :n] - alone)) < 1e-12
-    zero = Tensor(np.zeros_like(x))
     assert _grad_check_weighted(
-        lambda t: tn.conv_module(zero, t, *weights, frame_mask), x) < 1e-6
+        lambda t: tn.conv_module(t, *weights, frame_mask), x) < 1e-6
