@@ -19,6 +19,7 @@ from .data import (
     gen_corpus,
     is_id,
     read_corpus,
+    read_records,
     read_split,
     read_text,
     read_vocab,
@@ -176,25 +177,15 @@ def cmd_decode(args):
     return 0
 
 
+def _hypothesis_tokens(rec):
+    tokens = rec.get("tokens")
+    if not isinstance(tokens, list) or not all(is_id(t) and t >= 0 for t in tokens):
+        raise CorpusFormatError(f"hypothesis tokens are not integers >= 0: {tokens!r}")
+    return tokens
+
+
 def _read_hypotheses(path):
-    hyps = {}
-    for i, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            uid, tokens = rec["id"], rec["tokens"]
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            raise CorpusFormatError(f"bad hypothesis record: {e!r}", record=i) from e
-        if not isinstance(uid, str):
-            raise CorpusFormatError(f"hypothesis id {uid!r} is not a string", record=i)
-        if not isinstance(tokens, list) or not all(is_id(t) and t >= 0 for t in tokens):
-            raise CorpusFormatError(
-                f"hypothesis tokens are not integers >= 0: {tokens!r}", record=i)
-        if uid in hyps:
-            raise CorpusFormatError(f"hypothesis id {uid!r} repeats", record=i)
-        hyps[uid] = tokens
-    return hyps
+    return read_records(path, _hypothesis_tokens)
 
 
 def cmd_eval(args):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ from .errors import ConfigError, CorpusFormatError, VocabError, check_int, check
 SPLITS = ("train", "valid", "test")
 
 _VOCAB_STREAM = 0  # SeedSequence lane for vocabulary construction
+
+
+def text_vocab_size(v, n_background):
+    """Ids in the layout above: blank, content, background and synonyms."""
+    return 1 + 2 * v + n_background
 
 
 @dataclass
@@ -96,8 +102,7 @@ class HomophoneVocab:
 
     @property
     def text_vocab_size(self):
-        # blank/pad + content + background + synonyms
-        return 1 + self.size + self.n_background + self.size
+        return text_vocab_size(self.size, self.n_background)
 
     def prototype_for(self, token):
         return self.prototypes[self.token_sound[token]]
@@ -301,49 +306,36 @@ def is_id(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_record(line, record_index, vocab):
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise CorpusFormatError(f"invalid JSON: {e}", record=record_index) from e
-    if not isinstance(rec, dict):
-        raise CorpusFormatError("record is not an object", record=record_index)
-    for key in ("id", "ref", "durations", "ocr", "frames"):
+def _parse_record(rec, vocab):
+    """The Utterance of one split record; ``read_records`` has checked its id."""
+    for key in ("ref", "durations", "ocr", "frames"):
         if key not in rec:
-            raise CorpusFormatError(f"missing field '{key}'", record=record_index)
-    uid = rec["id"]
+            raise CorpusFormatError(f"missing field '{key}'")
     ref, durations, ocr = rec["ref"], rec["durations"], rec["ocr"]
     for name, val in (("ref", ref), ("durations", durations), ("ocr", ocr)):
         if not isinstance(val, list) or not all(is_id(x) for x in val):
-            raise CorpusFormatError(f"field '{name}' is not an integer list",
-                                    record=record_index)
-    ocr_max = 2 * vocab.size + vocab.n_background
+            raise CorpusFormatError(f"field '{name}' is not an integer list")
+    ocr_max = text_vocab_size(vocab.size, vocab.n_background) - 1
     for name, val, top in (("ref", ref, vocab.size), ("ocr", ocr, ocr_max)):
         bad = [x for x in val if not 1 <= x <= top]
         if bad:
-            raise CorpusFormatError(f"field '{name}' holds id {bad[0]} outside 1..{top}",
-                                    record=record_index)
-    if not isinstance(uid, str):
-        raise CorpusFormatError("field 'id' is not a string", record=record_index)
+            raise CorpusFormatError(f"field '{name}' holds id {bad[0]} outside 1..{top}")
     if not ref:
-        raise CorpusFormatError("empty reference", record=record_index)
+        raise CorpusFormatError("empty reference")
     if len(durations) != len(ref) or any(d < 1 for d in durations):
-        raise CorpusFormatError("durations do not match reference", record=record_index)
+        raise CorpusFormatError("durations do not match reference")
     try:
         raw = base64.b64decode(rec["frames"], validate=True)
     except Exception as e:
-        raise CorpusFormatError(f"bad base64 frame block: {e}", record=record_index) from e
+        raise CorpusFormatError(f"bad base64 frame block: {e}") from e
     d_in = vocab.d_in
     expected = sum(durations) * d_in * 4
     if len(raw) != expected:
-        raise CorpusFormatError(
-            f"frame block has {len(raw)} bytes, expected {expected}",
-            record=record_index,
-        )
+        raise CorpusFormatError(f"frame block has {len(raw)} bytes, expected {expected}")
     audio = np.frombuffer(raw, dtype="<f4").reshape(sum(durations), d_in)
     if not np.all(np.isfinite(audio)):
-        raise CorpusFormatError("frame block holds a non-finite value", record=record_index)
-    return Utterance(uid=uid, ref=ref, durations=durations, audio=audio, ocr=ocr)
+        raise CorpusFormatError("frame block holds a non-finite value")
+    return Utterance(uid=rec["id"], ref=ref, durations=durations, audio=audio, ocr=ocr)
 
 
 def read_text(path, error=CorpusFormatError):
@@ -364,23 +356,40 @@ def write_split(path, utterances):
             f.write("\n")
 
 
-def read_split(path, vocab):
-    """Utterances of one JSONL split file; frame width and token id ranges
-    are checked against ``vocab``, and no utterance id may repeat."""
+def read_records(path, parse):
+    """{id: parse(record)} of the JSON-lines file ``path``, in file order.
+
+    Each non-blank line is a record, numbered by its line: a JSON object
+    with a string ``id`` that no earlier record has. ``parse`` raises
+    CorpusFormatError on a bad record; every error names the file and the
+    record.
+    """
     out = {}
     for i, line in enumerate(read_text(path).split("\n"), start=1):
-        if line.strip():
-            utt = _parse_record(line, i, vocab)
-            if utt.uid in out:
-                raise CorpusFormatError(f"utterance id {utt.uid!r} repeats", record=i)
-            out[utt.uid] = utt
-    return list(out.values())
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
+                raise CorpusFormatError("record is not an object with a string 'id'")
+            if rec["id"] in out:
+                raise CorpusFormatError(f"id {rec['id']!r} repeats")
+            out[rec["id"]] = parse(rec)
+        except json.JSONDecodeError as e:
+            raise CorpusFormatError(f"{path}, record {i}: invalid JSON: {e}") from e
+        except CorpusFormatError as e:
+            raise CorpusFormatError(f"{path}, record {i}: {e}") from e
+    return out
+
+
+def read_split(path, vocab):
+    """Utterances of one JSONL split file; frame width and token id ranges
+    are checked against ``vocab``."""
+    return list(read_records(path, lambda rec: _parse_record(rec, vocab)).values())
 
 
 def write_corpus(out_dir, vocab, splits, cfg=None):
     """Write vocab.json plus one JSONL file per split into ``out_dir``."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     meta = {"format_version": 1, "vocab": vocab.to_json(), "d_in": vocab.d_in}
     if cfg is not None:
@@ -400,17 +409,14 @@ def read_vocab(path):
         raise CorpusFormatError(f"vocab file {path} is not a JSON object")
     if meta.get("format_version") != 1:
         raise CorpusFormatError(
-            f"unsupported corpus format version {meta.get('format_version')}"
-        )
+            f"vocab file {path} has unsupported format version {meta.get('format_version')}")
     try:
         return HomophoneVocab.from_json(meta["vocab"])
     except (KeyError, TypeError, ValueError) as e:
-        raise CorpusFormatError(f"malformed vocab: {e!r}") from e
+        raise CorpusFormatError(f"malformed vocab in {path}: {e!r}") from e
 
 
 def read_corpus(in_dir, splits=SPLITS):
-    import os
-
     vocab = read_vocab(os.path.join(in_dir, "vocab.json"))
     out = {}
     for split in splits:

@@ -51,8 +51,11 @@ class EncoderConfig:
 class AudioFeatures:
     frames: Tensor  # [t_len x d_model], or a padded batch [B x t_len x d_model];
     # a numpy array when the encoder is frozen (a constant for the decoder)
-    t_len: int
     lengths: np.ndarray = None  # valid frames of each batch row; None: all t_len
+
+    @property
+    def t_len(self):
+        return self.frames.shape[-2]
 
 
 @dataclass
@@ -127,6 +130,12 @@ def encoder_block(x, p, mask=None, frame_mask=None):
     return layer_norm(x, p.ln_out)
 
 
+def subsampled_length(raw_len, factor):
+    """Frames left of ``raw_len`` input frames (an int or an integer array)
+    after mean pooling by ``factor``: a last, partial window counts as one."""
+    return -(-raw_len // factor)
+
+
 def encode_audio(frames, cfg, params, lengths=None):
     """Project, subsample by strided mean pooling, add positions, run the stack.
 
@@ -145,13 +154,13 @@ def encode_audio(frames, cfg, params, lengths=None):
         h = tn.mean_pool_rows(h, factor, lengths)
     t_len = h.shape[-2]
     if lengths is not None:
-        lengths = -(-np.asarray(lengths, dtype=np.int64) // factor)
+        lengths = subsampled_length(np.asarray(lengths, dtype=np.int64), factor)
     h = tn.add(h, sinusoidal_positions(t_len, cfg.d_model))
     mask = key_mask(lengths, t_len)
     frame_mask = None if mask is None else np.swapaxes(mask, -1, -2).astype(np.float64)
     for block in params.blocks:
         h = encoder_block(h, block, mask, frame_mask)
-    return AudioFeatures(frames=h, t_len=t_len, lengths=lengths)
+    return AudioFeatures(frames=h, lengths=lengths)
 
 
 def ctc_head(features, w):

@@ -41,13 +41,7 @@ class OracleSizeError(MmasrError):
 
 
 class CorpusFormatError(MmasrError):
-    """Malformed corpus file; carries the offending record index."""
-
-    def __init__(self, message, record=None):
-        if record is not None:
-            message = f"record {record}: {message}"
-        super().__init__(message)
-        self.record = record
+    """Malformed corpus, vocabulary or hypothesis file."""
 
 
 class CheckpointError(MmasrError):

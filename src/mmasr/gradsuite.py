@@ -1,11 +1,13 @@
 """Finite-difference gradient checks over every differentiable operation,
 from single layers up to the combined training loss, on random micro
 configurations. ``param_grad_check`` is the one central-difference loop;
-``grad_check`` runs it on a function of one input."""
+``grad_check`` runs it on a function of one input, and ``_check`` on a
+random linear functional of a layer's output, in its input and parameters."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .encoder import (
     EncoderConfig,
     encode_audio,
     init_encoder_params,
+    subsampled_length,
 )
 from .errors import ContractError
 from .layers import (
@@ -82,21 +85,34 @@ def _rand(rng, *shape):
     return Tensor(rng.uniform(-1.0, 1.0, shape))
 
 
-def _weighted_sum(x, rng):
-    """Random linear functional, turning any tensor output into a scalar."""
-    w = rng.uniform(-1.0, 1.0, x.shape)
-    return lambda y: tn.sum_all(tn.mul(y, Tensor(w)))
+def _check(fwd, x, params, rng, eps):
+    """Worst gradient error of a random linear functional of ``fwd(x)``, in
+    the input ``x`` and then in each of ``params``. The functional is drawn
+    from ``rng`` before ``params`` is iterated."""
+    w = rng.uniform(-1.0, 1.0, fwd(x).shape)
+
+    def loss(t):
+        return tn.sum_all(tn.mul(fwd(t), w))
+
+    errs = [grad_check(loss, x, eps)]
+    return max(errs + [param_grad_check(lambda: loss(x), p, eps) for p in params])
+
+
+def _some_params(rng, prefix, tree, k=3):
+    """``k`` distinct random parameters of ``tree``, drawn lazily: the names
+    are chosen when the caller iterates, so a check's functional comes first."""
+    flat = dict(_walk(prefix, tree))
+    names = sorted(flat)
+    for i in rng.choice(len(names), k, replace=False):
+        yield flat[names[i]]
 
 
 def check_attention(rng, eps):
     d, heads, lq, lk = 4, 2, 3, 4
     params = init_attention_params(d, heads, rng)
     q, k, v = _rand(rng, lq, d), _rand(rng, lk, d), _rand(rng, lk, d)
-    reduce = _weighted_sum(attention(q, k, v, params), rng)
-    errs = [grad_check(lambda t: reduce(attention(t, k, v, params)), q, eps)]
-    for p in (params.w_q, params.w_k, params.w_v, params.w_o):
-        errs.append(param_grad_check(lambda: reduce(attention(q, k, v, params)), p, eps))
-    return max(errs)
+    return _check(lambda t: attention(t, k, v, params), q,
+                  (params.w_q, params.w_k, params.w_v, params.w_o), rng, eps)
 
 
 def check_self_attention(rng, eps):
@@ -106,33 +122,15 @@ def check_self_attention(rng, eps):
     d = 4
     params = init_attention_params(d, int(rng.choice([1, 2, 4])), rng)
     norm = LayerNormParams(_rand(rng, d), _rand(rng, d))
-    errs = []
-    for shape, mask in (((3, d), causal_mask(3)), ((2, 3, d), key_mask([3, 2], 3))):
-        x = _rand(rng, *shape)
-        reduce = _weighted_sum(attention(x, x, x, params, mask, norm), rng)
-        errs.append(grad_check(lambda t: reduce(attention(t, t, t, params, mask, norm)),
-                               x, eps))
-        for p in (norm.gamma, norm.beta, params.w_q, params.w_k, params.w_v):
-            errs.append(param_grad_check(
-                lambda: reduce(attention(x, x, x, params, mask, norm)), p, eps))
-    return max(errs)
-
-
-def _operand_errs(fwd, operands, rng, eps):
-    """Gradient errors of a random functional of ``fwd(*operands)`` in each
-    operand, the first as an input and the rest as parameters."""
-    reduce = _weighted_sum(fwd(*operands), rng)
-    first, rest = operands[0], operands[1:]
-    errs = [grad_check(lambda t: reduce(fwd(t, *rest)), first, eps)]
-    for p in rest:
-        errs.append(param_grad_check(lambda: reduce(fwd(*operands)), p, eps))
-    return errs
+    return max(_check(lambda t, m=mask: attention(t, t, t, params, m, norm), _rand(rng, *shape),
+                      (norm.gamma, norm.beta, params.w_q, params.w_k, params.w_v), rng, eps)
+               for shape, mask in (((3, d), causal_mask(3)), ((2, 3, d), key_mask([3, 2], 3))))
 
 
 def check_layer_norm(rng, eps):
     l, d = 3, 5
-    return max(_operand_errs(lambda x, gamma, beta: layer_norm(x, LayerNormParams(gamma, beta)),
-                             (_rand(rng, l, d), _rand(rng, d), _rand(rng, d)), rng, eps))
+    x, norm = _rand(rng, l, d), LayerNormParams(_rand(rng, d), _rand(rng, d))
+    return _check(lambda t: layer_norm(t, norm), x, (norm.gamma, norm.beta), rng, eps)
 
 
 def check_feed_forward(rng, eps):
@@ -141,41 +139,29 @@ def check_feed_forward(rng, eps):
     # ReLU kinks: nudge activations away from zero for a clean check.
     w1.data += 0.05 * np.sign(w1.data)
     c = float(rng.choice([0.5, 1.0]))
-    return max(_operand_errs(
-        lambda x_, gamma, beta, *w: tn.feed_forward(x_, LayerNormParams(gamma, beta), *w, c),
-        (x, _rand(rng, d), _rand(rng, d), w1, w2), rng, eps))
+    norm = LayerNormParams(_rand(rng, d), _rand(rng, d))
+    return _check(lambda t: tn.feed_forward(t, norm, w1, w2, c), x,
+                  (norm.gamma, norm.beta, w1, w2), rng, eps)
 
 
 def check_conv_module(rng, eps):
     """One sequence without a frame mask, then a batch of two rows, the
     second padded, with one."""
     d, width = 4, 3
-    weights = (_rand(rng, d, d), _rand(rng, width, d), _rand(rng, d, d))  # w_in, kernel, w_out
+    w_in, kernel, w_out = _rand(rng, d, d), _rand(rng, width, d), _rand(rng, d, d)
     padding = (np.arange(5) < np.array([[5], [3]]))[..., None].astype(np.float64)
-    norm = (_rand(rng, d), _rand(rng, d))  # gamma, beta
-    errs = []
-    for shape, frame_mask in (((5, d), None), ((2, 5, d), padding)):
-        errs += _operand_errs(
-            lambda x, gamma, beta, *w, m=frame_mask: tn.conv_module(
-                x, LayerNormParams(gamma, beta), *w, m),
-            (_rand(rng, *shape),) + norm + weights, rng, eps)
-    return max(errs)
+    norm = LayerNormParams(_rand(rng, d), _rand(rng, d))
+    return max(_check(lambda t, m=frame_mask: tn.conv_module(t, norm, w_in, kernel, w_out, m),
+                      _rand(rng, *shape), (norm.gamma, norm.beta, w_in, kernel, w_out), rng, eps)
+               for shape, frame_mask in (((5, d), None), ((2, 5, d), padding)))
 
 
 def check_encoder(rng, eps):
     cfg = EncoderConfig(n_blocks=2, n_heads=2, d_model=4, d_ff=6, conv_width=3,
                         subsample_factor=2)
-    d_in = 3
-    params = init_encoder_params(cfg, d_in, rng)
-    x = _rand(rng, 6, d_in)
-    reduce = _weighted_sum(encode_audio(x, cfg, params).frames, rng)
-    errs = [grad_check(lambda t: reduce(encode_audio(t, cfg, params).frames), x, eps)]
-    flat = dict(_walk("enc", params))
-    names = sorted(flat)
-    for name in [names[i] for i in rng.choice(len(names), 3, replace=False)]:
-        errs.append(param_grad_check(
-            lambda: reduce(encode_audio(x, cfg, params).frames), flat[name], eps))
-    return max(errs)
+    params = init_encoder_params(cfg, 3, rng)  # d_in 3
+    return _check(lambda t: encode_audio(t, cfg, params).frames, _rand(rng, 6, 3),
+                  _some_params(rng, "enc", params), rng, eps)
 
 
 def _micro_model(rng_seed, subsample_factor=1):
@@ -189,46 +175,23 @@ def _micro_model(rng_seed, subsample_factor=1):
 def check_dual_cross_attention(rng, eps):
     model = _micro_model(int(rng.integers(1 << 30)))
     cross = model.decoder.blocks[0].cross
-    d = 4
-    q = _rand(rng, 2, d)
-    t_feats = AudioFeatures(_rand(rng, 3, d), 3)
-    i_feats = encode_visual([1, 2], model.visual)
-
-    def fwd():
-        iv = encode_visual([1, 2], model.visual)
-        return dual_cross_attention(q, t_feats, iv, cross)
-
-    reduce = _weighted_sum(dual_cross_attention(q, t_feats, i_feats, cross), rng)
-    errs = [grad_check(
-        lambda t: reduce(dual_cross_attention(t, t_feats, i_feats, cross)), q, eps)]
-    for p in (cross.audio_branch.w_k, cross.visual_branch.w_k,
-              cross.visual_branch.w_o, model.visual.embed):
-        errs.append(param_grad_check(lambda: reduce(fwd()), p, eps))
-    return max(errs)
+    q, t_feats = _rand(rng, 2, 4), AudioFeatures(_rand(rng, 3, 4))
+    return _check(
+        lambda t: dual_cross_attention(t, t_feats, encode_visual([1, 2], model.visual), cross),
+        q, (cross.audio_branch.w_k, cross.visual_branch.w_k, cross.visual_branch.w_o,
+            model.visual.embed), rng, eps)
 
 
 def check_decoder_forward(rng, eps):
     model = _micro_model(int(rng.integers(1 << 30)))
     dec_cfg = model.cfg.decoder
-    t_feats = AudioFeatures(_rand(rng, 3, 4), 3)
     targets = [dec_cfg.bos_id, 1, 2]
-
-    def fwd():
-        iv = encode_visual([2, 3], model.visual)
-        return decoder_forward(targets, t_feats, iv, dec_cfg, model.decoder)
-
-    reduce = _weighted_sum(fwd(), rng)
-    errs = [grad_check(
-        lambda t: reduce(decoder_forward(
-            targets, AudioFeatures(t, 3),
-            encode_visual([2, 3], model.visual), dec_cfg, model.decoder)),
-        t_feats.frames, eps)]
-    flat = dict(_walk("dec", model.decoder))
-    names = sorted(flat)
-    for name in [names[i] for i in rng.choice(len(names), 3, replace=False)]:
-        errs.append(param_grad_check(lambda: reduce(fwd()), flat[name], eps))
-    errs.append(param_grad_check(lambda: reduce(fwd()), model.visual.attn.w_v, eps))
-    return max(errs)
+    return _check(
+        lambda t: decoder_forward(targets, AudioFeatures(t), encode_visual([2, 3], model.visual),
+                                  dec_cfg, model.decoder),
+        _rand(rng, 3, 4),
+        itertools.chain(_some_params(rng, "dec", model.decoder), [model.visual.attn.w_v]),
+        rng, eps)
 
 
 def check_ctc_loss(rng, eps):
@@ -277,7 +240,7 @@ def check_padded_train_loss(rng, eps):
     one = _micro_batch(rng, 1)[0]
     # 3 to 7 frames, and a 2-frame row with one token, which is always feasible
     audio = np.concatenate([one.audio, one.audio[:1]])
-    t_len = -(-len(audio) // 2)
+    t_len = subsampled_length(len(audio), 2)
     ref = one.ref if t_len >= len(one.ref) + ctc_mod.count_repeats(one.ref) else one.ref[:1]
     long = dataclasses.replace(one, ref=ref, audio=audio)
     short = dataclasses.replace(one, ref=one.ref[:1], audio=one.audio[:2], ocr=[])

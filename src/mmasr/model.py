@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .data import text_vocab_size
 from .decoder import DecoderConfig, DecoderParams, init_decoder_params
 from .encoder import EncoderConfig, EncoderParams, init_encoder_params
 from .errors import ConfigError, check_int
@@ -32,8 +33,7 @@ class ModelConfig:
 
     @property
     def text_vocab_size(self):
-        # blank/pad row + content + background + synonyms
-        return 1 + 2 * self.v_content + self.n_background
+        return text_vocab_size(self.v_content, self.n_background)
 
     @property
     def ctc_vocab_size(self):
@@ -77,8 +77,7 @@ class ModelConfig:
 
 def make_decoder_config(v_content, n_background, **arch):
     """The DecoderConfig for a corpus; ``arch`` sets its other fields."""
-    text_vocab = 1 + 2 * v_content + n_background
-    return DecoderConfig(vocab_size=text_vocab + 2, **arch)
+    return DecoderConfig(vocab_size=text_vocab_size(v_content, n_background) + 2, **arch)
 
 
 def _walk(prefix, obj):

@@ -22,7 +22,7 @@ import numpy as np
 from . import ctc as ctc_mod
 from . import tensor as tn
 from .decoder import beam_decode, decoder_forward
-from .encoder import AudioFeatures, ctc_head, encode_audio
+from .encoder import AudioFeatures, ctc_head, encode_audio, subsampled_length
 from .errors import (
     CheckpointError,
     CheckpointShapeError,
@@ -282,7 +282,7 @@ class SpeechCache:
             found.append(self.entries[key])
         frames, lengths = pad_batch([f for f, _ in found], dtype=np.float64)
         loss = np.sum(np.array([c for _, c in found])) * (1.0 / len(utts))
-        return AudioFeatures(frames, frames.shape[1], lengths), np.asarray(loss)
+        return AudioFeatures(frames, lengths), np.asarray(loss)
 
 
 def utterance_losses(model, batch, use_visual_flags, cfg):
@@ -299,7 +299,7 @@ def utterance_losses(model, batch, use_visual_flags, cfg):
     kept = []
     for utt, use_visual in zip(batch, use_visual_flags):
         try:
-            ctc_mod.check_feasible(-(-utt.audio.shape[0] // enc_cfg.subsample_factor),
+            ctc_mod.check_feasible(subsampled_length(len(utt.audio), enc_cfg.subsample_factor),
                                    utt.ref)
         except FeasibilityError:
             continue
@@ -534,15 +534,6 @@ def _read_block(f, name, shape):
     return np.frombuffer(raw, dtype="<f4").reshape(shape)
 
 
-def _number(record, key, kinds, valid):
-    """``record[key]``, required to be one of ``kinds`` (never a bool) and
-    to satisfy ``valid``."""
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, kinds) or not valid(value):
-        raise ValueError(f"{key} = {value!r}")
-    return value
-
-
 def _check_rng_state(state):
     """None, or a PCG64 state exactly as numpy writes it."""
     if state is not None:
@@ -582,15 +573,15 @@ def _parse_header(header):
         if unknown:
             raise CheckpointShapeError(
                 f"optimizer state for unknown parameters {sorted(unknown)[:3]}")
-        real = (int, float)
-        adam = dict(trainable=trainable,
-                    peak_lr=_number(o, "peak_lr", real, lambda x: 0.0 <= x < math.inf),
-                    warmup=_number(o, "warmup", int, lambda n: n >= 0),
-                    beta1=_number(o, "beta1", real, lambda b: 0.0 <= b < 1.0),
-                    beta2=_number(o, "beta2", real, lambda b: 0.0 <= b < 1.0),
-                    eps=_number(o, "eps", real, lambda x: 0.0 < x < math.inf),
-                    t=_number(o, "t", int, lambda n: n >= 0))
-    return model_cfg, entries, adam, _number(header, "step", int, lambda n: n >= 0)
+        check_real("peak_lr", o["peak_lr"], 0, math.inf)
+        check_real("eps", o["eps"], 0, math.inf, open_low=True)
+        for name in ("beta1", "beta2"):
+            check_real(name, o[name], 0, 1, open_high=True)
+        for name in ("warmup", "t"):
+            check_int(name, o[name], 0)
+        adam = {k: o[k] for k in ("trainable", "peak_lr", "warmup", "beta1", "beta2", "eps", "t")}
+    check_int("step", header["step"], 0)
+    return model_cfg, entries, adam, header["step"]
 
 
 def load_checkpoint(path):

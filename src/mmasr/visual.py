@@ -31,8 +31,11 @@ from .tensor import Tensor
 @dataclass
 class VisualFeatures:
     frames: Tensor  # [i_len x d_model], or a padded batch [B x i_len x d_model]
-    i_len: int
     lengths: np.ndarray = None  # OCR tokens of each batch row, 0 allowed; None: all i_len
+
+    @property
+    def i_len(self):
+        return self.frames.shape[-2]
 
 
 @dataclass
@@ -55,7 +58,7 @@ def init_visual_params(text_vocab, d_model, n_heads, d_ff, rng):
 
 
 def empty_visual(d_model):
-    return VisualFeatures(frames=tn.zeros((0, d_model)), i_len=0)
+    return VisualFeatures(frames=tn.zeros((0, d_model)))
 
 
 def encode_visual(ocr_tokens, params, frozen=False, lengths=None):
@@ -82,4 +85,4 @@ def _forward(tokens, params, lengths):
     # A row without tokens attends to its padding; the decoder discards it.
     x = attention(x, x, x, params.attn, key_mask(lengths, i_len), norm=params.ln_attn)
     x = tn.feed_forward(x, params.ln_ffn, params.ffn.w1, params.ffn.w2, 1.0)
-    return VisualFeatures(frames=x, i_len=i_len, lengths=lengths)
+    return VisualFeatures(frames=x, lengths=lengths)

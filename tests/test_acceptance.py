@@ -141,8 +141,8 @@ def test_criterion_4_fusion_ablation_exactness(report):
         rng = np.random.default_rng(40000 + case)
         model = _micro_fusion(case)
         cfg = model.cfg.decoder
-        t_feats = AudioFeatures(Tensor(rng.standard_normal((3, 4))), 3)
-        i_feats = VisualFeatures(Tensor(rng.standard_normal((2, 4))), 2)
+        t_feats = AudioFeatures(Tensor(rng.standard_normal((3, 4))))
+        i_feats = VisualFeatures(Tensor(rng.standard_normal((2, 4))))
         targets = [cfg.bos_id] + [int(t) for t in rng.integers(1, 4, 2)]
         with tn.no_grad():
             audio_only = decoder_forward(targets, t_feats, empty_visual(4),
@@ -167,8 +167,8 @@ def test_criterion_5_causality(report):
         rng = np.random.default_rng(50000 + case)
         model = _micro_fusion(1000 + case)
         cfg = model.cfg.decoder
-        t_feats = AudioFeatures(Tensor(rng.standard_normal((3, 4))), 3)
-        i_feats = VisualFeatures(Tensor(rng.standard_normal((2, 4))), 2)
+        t_feats = AudioFeatures(Tensor(rng.standard_normal((3, 4))))
+        i_feats = VisualFeatures(Tensor(rng.standard_normal((2, 4))))
         n = int(rng.integers(2, 6))
         targets = [cfg.bos_id] + [int(t) for t in rng.integers(1, 4, n)]
         j = int(rng.integers(1, n + 1))

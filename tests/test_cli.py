@@ -10,7 +10,7 @@ import pytest
 
 import mmasr
 from mmasr.cli import _read_hypotheses, load_run_config, run_cli
-from mmasr.data import read_split, read_vocab
+from mmasr.data import CorpusConfig, gen_corpus, read_split, read_vocab, write_split
 from mmasr.decoder import DecoderConfig
 from mmasr.errors import ConfigError, CorpusFormatError
 from mmasr.train import load_checkpoint, save_checkpoint
@@ -424,6 +424,36 @@ def test_a_file_that_is_not_utf8_is_named_in_the_error(tmp_path, reader, error):
     path.write_bytes(b'\xff{"id": "a"}\n')
     with pytest.raises(error, match=re.escape(f"{path} is not UTF-8 text")):
         reader(str(path))
+
+
+@pytest.mark.parametrize("kind, second", [
+    ("split", '{"id": "b"}'),
+    ("split", '{"id": "b", '),
+    ("hypotheses", '{"id": "b", "tokens": [1.5]}'),
+    ("hypotheses", '{"id": "a", "tokens": []}'),
+], ids=["split-record", "split-json", "hypotheses-record", "hypotheses-repeat"])
+def test_a_malformed_record_is_named_with_its_file(tmp_path, kind, second):
+    path = tmp_path / f"{kind}.jsonl"
+    if kind == "split":
+        vocab, splits = gen_corpus(CorpusConfig(**CONFIG["corpus"]))
+        write_split(str(path), splits["test"][:1])
+        reader = lambda p: read_split(p, vocab)  # noqa: E731
+    else:
+        path.write_text(json.dumps({"id": "a", "tokens": [1]}) + "\n")
+        reader = _read_hypotheses
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(second + "\n")
+    with pytest.raises(CorpusFormatError, match=re.escape(f"{path}, record 2: ")):
+        reader(str(path))
+
+
+@pytest.mark.parametrize("meta", [{"format_version": 2}, {"format_version": 1, "vocab": {}}],
+                         ids=["version", "malformed"])
+def test_a_bad_vocab_file_is_named_in_the_error(tmp_path, meta):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(meta))
+    with pytest.raises(CorpusFormatError, match=re.escape(str(path))):
+        read_vocab(str(path))
 
 
 def test_python_m_mmasr_runs_the_cli():

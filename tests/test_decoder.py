@@ -25,13 +25,13 @@ RNG = np.random.default_rng(1701)
 
 
 def _audio(t_len, d, rng=RNG):
-    return AudioFeatures(Tensor(rng.standard_normal((t_len, d))), t_len)
+    return AudioFeatures(Tensor(rng.standard_normal((t_len, d))))
 
 
 def _visual(i_len, d, rng=RNG):
     if i_len == 0:
         return empty_visual(d)
-    return VisualFeatures(Tensor(rng.standard_normal((i_len, d))), i_len)
+    return VisualFeatures(Tensor(rng.standard_normal((i_len, d))))
 
 
 def _cross(d, heads, rng):
@@ -85,8 +85,8 @@ def test_dual_cross_two_softmax_sum_oracle():
     q = rng.standard_normal((2, d))
     t = rng.standard_normal((3, d))
     i = rng.standard_normal((2, d))
-    got = dual_cross_attention(Tensor(q), AudioFeatures(Tensor(t), 3),
-                               VisualFeatures(Tensor(i), 2), cross).data
+    got = dual_cross_attention(Tensor(q), AudioFeatures(Tensor(t)),
+                               VisualFeatures(Tensor(i)), cross).data
 
     def branch(keys, p):
         scores = (q @ p.w_q.data) @ (keys @ p.w_k.data).T / np.sqrt(d)
@@ -145,7 +145,7 @@ def test_forward_gradient_check():
     x = RNG.standard_normal((3, 4))
 
     def f(t):
-        out = decoder_forward([cfg.bos_id, 1, 2], AudioFeatures(t, 3), i_feats,
+        out = decoder_forward([cfg.bos_id, 1, 2], AudioFeatures(t), i_feats,
                               cfg, params)
         return tn.sum_all(tn.mul(out, Tensor(w)))
 
@@ -392,12 +392,12 @@ def test_audio_and_visual_contents_matter():
     t = rng.standard_normal((4, 4))
     i = rng.standard_normal((3, 4))
     tgt = [cfg.bos_id, 1, 2]
-    base = decoder_forward(tgt, AudioFeatures(Tensor(t), 4),
-                           VisualFeatures(Tensor(i), 3), cfg, params).data
-    swapped_audio = decoder_forward(tgt, AudioFeatures(Tensor(t[::-1].copy()), 4),
-                                    VisualFeatures(Tensor(i), 3), cfg, params).data
-    swapped_visual = decoder_forward(tgt, AudioFeatures(Tensor(t), 4),
-                                     VisualFeatures(Tensor(i[::-1].copy()), 3),
+    base = decoder_forward(tgt, AudioFeatures(Tensor(t)),
+                           VisualFeatures(Tensor(i)), cfg, params).data
+    swapped_audio = decoder_forward(tgt, AudioFeatures(Tensor(t[::-1].copy())),
+                                    VisualFeatures(Tensor(i)), cfg, params).data
+    swapped_visual = decoder_forward(tgt, AudioFeatures(Tensor(t)),
+                                     VisualFeatures(Tensor(i[::-1].copy())),
                                      cfg, params).data
     assert not np.array_equal(base, swapped_audio)
     assert not np.array_equal(base, swapped_visual)

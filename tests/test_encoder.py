@@ -81,7 +81,7 @@ def test_full_stack_gradient_to_input():
 def test_ctc_head_zero_weights_uniform():
     from mmasr.encoder import AudioFeatures
 
-    feats = AudioFeatures(Tensor(RNG.standard_normal((4, 5))), 4)
+    feats = AudioFeatures(Tensor(RNG.standard_normal((4, 5))))
     lp = ctc_head(feats, Tensor(np.zeros((5, 7)))).data
     assert np.max(np.abs(lp + np.log(7.0))) < 1e-12
 
@@ -89,7 +89,7 @@ def test_ctc_head_zero_weights_uniform():
 def test_ctc_head_rows_normalized_and_match_softmax():
     from mmasr.encoder import AudioFeatures
 
-    feats = AudioFeatures(Tensor(RNG.standard_normal((3, 5))), 3)
+    feats = AudioFeatures(Tensor(RNG.standard_normal((3, 5))))
     w = RNG.standard_normal((5, 4))
     lp = ctc_head(feats, Tensor(w)).data
     assert np.max(np.abs(np.exp(lp).sum(axis=1) - 1.0)) < 1e-12

@@ -551,8 +551,8 @@ def test_padded_positions_get_exactly_zero_gradient():
         assert np.any(frames.grad[b, :n] != 0.0)
 
     dec = model.cfg.decoder
-    audio = AudioFeatures(Tensor(rng.standard_normal((3, 5, 4))), 5, np.array([5, 2, 4]))
-    visual = VisualFeatures(Tensor(rng.standard_normal((3, 3, 4))), 3, np.array([3, 0, 1]))
+    audio = AudioFeatures(Tensor(rng.standard_normal((3, 5, 4))), np.array([5, 2, 4]))
+    visual = VisualFeatures(Tensor(rng.standard_normal((3, 3, 4))), np.array([3, 0, 1]))
     for block in model.decoder.blocks:
         block.cross.visual_branch.w_o.data[:] = rng.standard_normal((4, 4))
     targets_in = np.array([[dec.bos_id, 1, 2], [dec.bos_id, 3, 0], [dec.bos_id, 0, 0]])
