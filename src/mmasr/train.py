@@ -45,6 +45,8 @@ STAGES = ("audio_only", "fusion")
 
 CKPT_MAGIC = b"MMASRCK1"
 CKPT_VERSION = 1
+# The optimizer fields a checkpoint header stores: Adam's arguments.
+CKPT_ADAM_FIELDS = ("trainable", "peak_lr", "warmup", "beta1", "beta2", "eps", "t")
 
 
 @dataclasses.dataclass
@@ -502,15 +504,7 @@ def save_checkpoint(path, model, opt=None, step=0, rng=None):
     }
     blocks = [params[n].data for n in names]
     if opt is not None:
-        header["optimizer"] = {
-            "trainable": opt.trainable,
-            "t": opt.t,
-            "peak_lr": opt.peak_lr,
-            "warmup": opt.warmup,
-            "beta1": opt.beta1,
-            "beta2": opt.beta2,
-            "eps": opt.eps,
-        }
+        header["optimizer"] = {k: getattr(opt, k) for k in CKPT_ADAM_FIELDS}
         for n in opt.trainable:
             blocks.append(opt.m[n])
         for n in opt.trainable:
@@ -579,7 +573,7 @@ def _parse_header(header):
             check_real(name, o[name], 0, 1, open_high=True)
         for name in ("warmup", "t"):
             check_int(name, o[name], 0)
-        adam = {k: o[k] for k in ("trainable", "peak_lr", "warmup", "beta1", "beta2", "eps", "t")}
+        adam = {k: o[k] for k in CKPT_ADAM_FIELDS}
     check_int("step", header["step"], 0)
     return model_cfg, entries, adam, header["step"]
 
