@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 from .data import (
@@ -163,18 +164,36 @@ def cmd_train(args):
 
 def cmd_decode(args):
     model, _, _, _ = load_checkpoint(args.ckpt)
-    vocab, splits = read_corpus(args.corpus, splits=(args.split,))
-    if args.split not in splits:
-        raise ConfigError(f"split '{args.split}' not found under {args.corpus}")
+    vocab = read_vocab(os.path.join(args.corpus, "vocab.json"))
+    split = os.path.join(args.corpus, f"{args.split}.jsonl")
+    utts = read_split(split, vocab)
+    if not utts:
+        raise ConfigError(f"split {split} holds no utterances")
     _check_corpus(model, vocab, args.ckpt)
     use_visual = args.modality == "audio+visual"
-    with open(args.out, "w", encoding="utf-8") as f:
-        for utt in sorted(splits[args.split], key=lambda u: u.uid):
-            hyp = decode_utterance(model, utt, use_visual, beam=args.beam)
-            f.write(json.dumps({"id": utt.uid, "tokens": hyp.tokens,
-                                "log_prob": hyp.log_prob}, sort_keys=True) + "\n")
+    hyps, timings = [], []
+    for utt in sorted(utts, key=lambda u: u.uid):
+        start = time.perf_counter()
+        hyp = decode_utterance(model, utt, use_visual, beam=args.beam)
+        timings.append({"id": utt.uid, "ms": (time.perf_counter() - start) * 1e3,
+                        "tokens": len(hyp.tokens), "hit_max_len": hyp.hit_max_len})
+        hyps.append({"id": utt.uid, "tokens": hyp.tokens, "log_prob": hyp.log_prob})
+    _write_json_lines(args.out, hyps)
+    _write_json_lines(metrics_path(args.out), timings)
     print(f"wrote hypotheses to {args.out}")
     return 0
+
+
+def _write_json_lines(path, records):
+    """Write JSON lines to ``path`` by way of a file beside it, atomically."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _hypothesis_tokens(rec):
@@ -264,7 +283,7 @@ def build_parser():
     d.add_argument("--ckpt", required=True)
     d.add_argument("--corpus", required=True)
     d.add_argument("--split", default="test")
-    d.add_argument("--beam", type=int, default=4)
+    d.add_argument("--beam", type=_int_at_least(1), default=4)
     d.add_argument("--modality", choices=("audio", "audio+visual"),
                    default="audio+visual")
     d.add_argument("--out", required=True)

@@ -416,10 +416,10 @@ def read_vocab(path):
         raise CorpusFormatError(f"malformed vocab in {path}: {e!r}") from e
 
 
-def read_corpus(in_dir, splits=SPLITS):
+def read_corpus(in_dir):
     vocab = read_vocab(os.path.join(in_dir, "vocab.json"))
     out = {}
-    for split in splits:
+    for split in SPLITS:
         path = os.path.join(in_dir, f"{split}.jsonl")
         if os.path.exists(path):
             out[split] = read_split(path, vocab)

@@ -10,7 +10,7 @@ audio-only decoder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .layers import (
     init_layer_norm,
     key_mask,
     layer_norm,
+    sinusoidal_positions,
 )
 from .tensor import Tensor
 
@@ -174,15 +175,16 @@ class Hypothesis:
     tokens: list
     log_prob: float
     normalized: float
+    hit_max_len: bool = field(default=False, compare=False)  # ended without EOS
 
 
 def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
     """Length-normalized log-prob beam search; beam=1 is a greedy rollout.
 
-    Each step scores all live hypotheses in one decoder call on their
-    prefixes, which are equally long. Ties break toward the lexicographically
-    smaller token sequence (lower token id first, shorter hypothesis on
-    prefix ties). A hypothesis ends at EOS or after max_len tokens.
+    Each step runs the decoder on the new position of the utterance's live
+    hypotheses in one call (``_decode_step``). Ties break toward the
+    lexicographically smaller token sequence (lower token id first, shorter
+    hypothesis on prefix ties). A hypothesis ends at EOS or after max_len tokens.
     """
     if beam < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam}")
@@ -191,14 +193,15 @@ def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
     eos, bos = cfg.eos_id, cfg.bos_id
     ids = np.delete(np.arange(cfg.vocab_size), bos)  # what a step may emit
     with tn.no_grad():
+        memory = [_cross_memory(t_feats, i_feats, block.cross) for block in params.blocks]
+        empty = np.zeros((1, cfg.n_heads, cfg.d_model // cfg.n_heads, 0))
+        cache = [(empty, np.swapaxes(empty, -1, -2))] * cfg.n_blocks
         prefixes = np.array([[bos]])  # live hypotheses, BOS first, in token order
         log_probs = np.zeros(1)
         finished = []  # (tokens without EOS, log_prob, tokens emitted incl. EOS)
         for step in range(1, max_len + 1):
-            n = len(prefixes)
-            logits = decoder_forward(prefixes, _beam_rows(t_feats, n),
-                                     _beam_rows(i_feats, n), cfg, params)
-            last = tn.log_softmax_rows(logits.data[:, -1]).data[:, ids]
+            logits, cache = _decode_step(prefixes, cache, memory, cfg, params)
+            last = tn.log_softmax_rows(logits).data[:, ids]
             scores = (log_probs[:, None] + last).ravel()
             # The rows, so the candidates, are in token order; a stable sort keeps ties so.
             best = np.argsort(-(scores / step), kind="stable")[:beam]
@@ -213,12 +216,41 @@ def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
             prefixes, log_probs = prefixes[live], log_probs[live]
             if not len(live):
                 break
+            cache = [(keys[parent[live]], values[parent[live]]) for keys, values in cache]
         finished.sort(key=lambda c: (-c[1] / c[2], c[0]))
         toks, lp, n = finished[0]
-        return Hypothesis(tokens=list(toks), log_prob=lp, normalized=lp / n)
+        return Hypothesis(tokens=list(toks), log_prob=lp, normalized=lp / n,
+                          hit_max_len=len(toks) == n)
 
 
-def _beam_rows(feats, n):
-    """One utterance's features repeated over n beam rows."""
-    frames = tn.as_tensor(feats.frames).data
-    return replace(feats, frames=np.broadcast_to(frames, (n,) + frames.shape))
+def _cross_memory(t_feats, i_feats, cross):
+    """Each branch's (keys [h x d_k x L], values [h x L x d_k], params); none if empty."""
+    memory = []
+    for feats, p in ((t_feats, cross.audio_branch), (i_feats, cross.visual_branch)):
+        frames = tn.as_tensor(feats.frames).data
+        if len(frames):
+            k, v = ((frames @ w.data).reshape(-1, p.n_heads, p.d_k) for w in (p.w_k, p.w_v))
+            memory.append((k.transpose(1, 2, 0), v.transpose(1, 0, 2), p))
+    return memory
+
+
+def _decode_step(prefixes, cache, memory, cfg, params):
+    """``decoder_forward`` (its oracle) on each live prefix's [n x step] last position
+    alone: (logits [n x vocab_size], ``cache`` extended by that position)."""
+    n, step = prefixes.shape
+    d, h = cfg.d_model, cfg.n_heads
+    x = params.embed.data[prefixes[:, -1]] + sinusoidal_positions(step, d)[-1]
+    extended = []
+    for block, (keys, values), branches in zip(params.blocks, cache, memory):
+        p = block.self_attn
+        normed = tn._normalize(x, block.ln_self)[0]
+        q, k, v = (normed @ w.data for w in (p.w_q, p.w_k, p.w_v))
+        keys = np.concatenate([keys, k.reshape(n, h, -1, 1)], axis=-1)
+        values = np.concatenate([values, v.reshape(n, h, 1, -1)], axis=-2)
+        extended.append((keys, values))
+        x = x + tn._attend(q.reshape(n, h, 1, -1), keys, values)[1].reshape(n, d) @ p.w_o.data
+        q = tn._normalize(x, block.ln_cross)[0]
+        x = x + sum(tn._attend((q @ b.w_q.data).reshape(n, h, 1, -1), b_keys, b_values)[1]
+                    .reshape(n, d) @ b.w_o.data for b_keys, b_values, b in branches)
+        x = tn.feed_forward(Tensor(x), block.ln_ffn, block.ffn.w1, block.ffn.w2, 1.0).data
+    return tn._normalize(x, params.ln_out)[0] @ params.out_w.data, extended

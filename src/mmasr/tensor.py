@@ -253,7 +253,6 @@ def attention(q, k, v, weights, n_heads, penalty=None, norm=None):
     kd, vd = _value(k), _value(v)
     lead, (L_q, d), L_k = q.data.shape[:-2], q.data.shape[-2:], kd.shape[-2]
     d_k = d // n_heads
-    c = 1.0 / math.sqrt(d_k)
     # [..., L x h x d_k] permuted: (L, h) swapped, its own inverse; to
     # [..., h x d_k x L]; and back from that.
     n, ax = len(lead), tuple(range(len(lead)))
@@ -272,16 +271,8 @@ def attention(q, k, v, weights, n_heads, penalty=None, norm=None):
         inputs = _inputs(q, k, v)
     qh, kh, vh = (np.transpose(p.reshape(lead + (n, n_heads, d_k)), axes)
                   for p, n, axes in zip(projected, (L_q, L_k, L_k), (swap, to_keys, swap)))
-    probs = np.matmul(qh, kh)  # [..., h x L_q x L_k]
-    probs *= c
-    if penalty is not None:
-        probs += penalty
-    if not np.all(np.isfinite(probs)):
-        raise NumericError("softmax input contains non-finite values")
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    merged = np.transpose(np.matmul(probs, vh), swap).reshape(-1, d)  # [N x d]
+    probs, heads = _attend(qh, kh, vh, penalty)
+    merged = np.transpose(heads, swap).reshape(-1, d)  # [N x d]
     y = (merged @ w_o.data).reshape(lead + (L_q, d))
     out = Tensor(y if norm is None else q.data + y, inputs + list(weights))
 
@@ -292,7 +283,7 @@ def attention(q, k, v, weights, n_heads, penalty=None, norm=None):
         g_probs = g_heads @ np.swapaxes(vh, -1, -2)
         g_vh = np.swapaxes(probs, -1, -2) @ g_heads
         g_scores = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs
-        g_scores *= c
+        g_scores *= 1.0 / math.sqrt(d_k)
         g_qh = g_scores @ np.swapaxes(kh, -1, -2)
         g_kh = np.swapaxes(qh, -1, -2) @ g_scores
         g_projected = [np.transpose(gh, axes).reshape(-1, d)
@@ -312,13 +303,28 @@ def attention(q, k, v, weights, n_heads, penalty=None, norm=None):
     return out
 
 
+def _attend(qh, kh, vh, penalty=None):
+    """(probs, probs @ vh), probs = softmax(qh @ kh / sqrt(d_k) + ``penalty``) over
+    the keys: qh [..., h x L_q x d_k], kh [..., h x d_k x L_k], vh [..., h x L_k x d_k]."""
+    probs = np.matmul(qh, kh)  # [..., h x L_q x L_k]
+    probs *= 1.0 / math.sqrt(qh.shape[-1])
+    if penalty is not None:
+        probs += penalty
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("softmax input contains non-finite values")
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs, np.matmul(probs, vh)
+
+
 def _normalize(x, norm):
     """Layer norm (Ba et al. 2016) of ``x``'s last axis with ``norm``'s gamma
     and beta, (x - mean) / sqrt(var + eps) * gamma + beta, and its backward,
     which accumulates gamma's and beta's gradients and returns x's: with y
     the normalized x and gy = g * gamma, that is
     (gy - mean(gy) - y * mean(gy * y)) / sqrt(var + eps)."""
-    xd, gamma, beta = x.data, norm.gamma, norm.beta
+    xd, gamma, beta = _value(x), norm.gamma, norm.beta
     d = xd.shape[-1]
     centered = xd - xd.sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + _NORM_EPS)

@@ -582,56 +582,59 @@ def load_checkpoint(path):
     """Returns (model, optimizer or None, step, rng_state or None).
 
     A file that is not exactly a checkpoint of this format raises a
-    CheckpointError."""
+    CheckpointError (or the subclass that says why) naming ``path``."""
     with open(path, "rb") as f:
-        magic = f.read(len(CKPT_MAGIC))
-        if magic != CKPT_MAGIC:
-            raise CheckpointVersionError(f"not a checkpoint file: bad magic {magic!r}")
-        raw_len = f.read(4)
-        if len(raw_len) != 4:
-            raise CheckpointTruncatedError("checkpoint truncated in header length")
-        (hlen,) = struct.unpack("<I", raw_len)
-        head = f.read(hlen)
-        if len(head) != hlen:
-            raise CheckpointTruncatedError("checkpoint truncated in header")
         try:
-            header = json.loads(head.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointVersionError(f"unreadable checkpoint header: {e}") from e
-        if not isinstance(header, dict):
-            raise CheckpointError("checkpoint header is not a JSON object")
-        version = header.get("version")
-        if type(version) is not int or version != CKPT_VERSION:
-            raise CheckpointVersionError(
-                f"unsupported checkpoint version {version!r}"
-            )
-        try:
-            model_cfg, entries, adam, step = _parse_header(header)
-            model = Model.blank(model_cfg)
-        except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
-            raise CheckpointError(f"malformed checkpoint header: {e!r}") from e
-        params = model.named_parameters()
-        for name, shape in entries:
-            if name not in params:
-                raise CheckpointShapeError(f"unknown parameter '{name}' in checkpoint")
-            if tuple(params[name].shape) != shape:
-                raise CheckpointShapeError(
-                    f"parameter '{name}' has shape {shape} in checkpoint but "
-                    f"{tuple(params[name].shape)} in config"
+            magic = f.read(len(CKPT_MAGIC))
+            if magic != CKPT_MAGIC:
+                raise CheckpointVersionError(f"not a checkpoint file: bad magic {magic!r}")
+            raw_len = f.read(4)
+            if len(raw_len) != 4:
+                raise CheckpointTruncatedError("checkpoint truncated in header length")
+            (hlen,) = struct.unpack("<I", raw_len)
+            head = f.read(hlen)
+            if len(head) != hlen:
+                raise CheckpointTruncatedError("checkpoint truncated in header")
+            try:
+                header = json.loads(head.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as e:
+                raise CheckpointVersionError(f"unreadable checkpoint header: {e}") from e
+            if not isinstance(header, dict):
+                raise CheckpointError("checkpoint header is not a JSON object")
+            version = header.get("version")
+            if type(version) is not int or version != CKPT_VERSION:
+                raise CheckpointVersionError(
+                    f"unsupported checkpoint version {version!r}"
                 )
-            params[name].data = _read_block(f, name, params[name].shape).astype(np.float64)
-        missing = {name for name, _ in entries} ^ set(params)
-        if missing:
-            raise CheckpointShapeError(
-                f"checkpoint parameter list mismatch: {sorted(missing)[:3]}"
-            )
-        opt = None
-        if adam is not None:
-            opt = Adam(params, **adam)
-            for n in opt.trainable:
-                opt.m[n][...] = _read_block(f, f"m:{n}", params[n].shape)
-            for n in opt.trainable:
-                opt.v[n][...] = _read_block(f, f"v:{n}", params[n].shape)
-        if f.read(1):
-            raise CheckpointError("checkpoint has bytes after its payload")
-        return model, opt, step, header["rng_state"]
+            try:
+                model_cfg, entries, adam, step = _parse_header(header)
+                model = Model.blank(model_cfg)
+            except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
+                raise CheckpointError(f"malformed checkpoint header: {e!r}") from e
+            params = model.named_parameters()
+            for name, shape in entries:
+                if name not in params:
+                    raise CheckpointShapeError(f"unknown parameter '{name}' in checkpoint")
+                if tuple(params[name].shape) != shape:
+                    raise CheckpointShapeError(
+                        f"parameter '{name}' has shape {shape} in checkpoint but "
+                        f"{tuple(params[name].shape)} in config"
+                    )
+                params[name].data = _read_block(f, name, params[name].shape).astype(np.float64)
+            missing = {name for name, _ in entries} ^ set(params)
+            if missing:
+                raise CheckpointShapeError(
+                    f"checkpoint parameter list mismatch: {sorted(missing)[:3]}"
+                )
+            opt = None
+            if adam is not None:
+                opt = Adam(params, **adam)
+                for n in opt.trainable:
+                    opt.m[n][...] = _read_block(f, f"m:{n}", params[n].shape)
+                for n in opt.trainable:
+                    opt.v[n][...] = _read_block(f, f"v:{n}", params[n].shape)
+            if f.read(1):
+                raise CheckpointError("checkpoint has bytes after its payload")
+            return model, opt, step, header["rng_state"]
+        except CheckpointError as e:
+            raise type(e)(f"checkpoint {path}: {e}") from e

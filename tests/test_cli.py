@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -163,6 +165,17 @@ def test_full_pipeline_and_reports(workspace, capsys):
     records = [json.loads(l) for l in open(hyp)]
     assert len(records) == CONFIG["corpus"]["n_test"]
     assert all(set(r) == {"id", "tokens", "log_prob"} for r in records)
+    assert open(hyp).read() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    # Timing goes to a sidecar, one record per utterance in the same order.
+    utts = {u.uid: u for u in read_split(f"{data}/test.jsonl", read_vocab(f"{data}/vocab.json"))}
+    timings = [json.loads(l) for l in open(tmp_path / "hyp.metrics.jsonl")]
+    assert [t["id"] for t in timings] == [r["id"] for r in records]
+    for t, r in zip(timings, records):
+        assert set(t) == {"id", "ms", "tokens", "hit_max_len"}
+        assert t["ms"] > 0.0 and t["tokens"] == len(r["tokens"])
+        # decode's step limit: the encoder's length (subsampling by 2), plus EOS
+        max_len = -(-len(utts[t["id"]].audio) // 2) + 1
+        assert t["hit_max_len"] is (t["tokens"] == max_len)
     report_path = str(tmp_path / "report.json")
     assert run_cli(["eval", "--ref", f"{data}/test.jsonl", "--hyp", hyp,
                     "--vocab", f"{data}/vocab.json", "--out", report_path]) == 0
@@ -374,6 +387,66 @@ def test_decode_missing_split_is_data_error(workspace, capsys):
     assert run_cli(["decode", "--ckpt", f"{out}/stage2.ckpt", "--corpus", data,
                     "--split", "nonexistent", "--out", str(tmp_path / "h.jsonl")]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def decode_inputs(tmp_path_factory):
+    """A corpus and a stage-1 checkpoint trained on it."""
+    tmp_path = tmp_path_factory.mktemp("decode")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(CONFIG))
+    data, out = tmp_path / "corpus", tmp_path / "run"
+    assert run_cli(["gen-data", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert run_cli(["train", "--config", str(cfg_path), "--stage", "1",
+                    "--data", str(data), "--out", str(out)]) == 0
+    return data, out / "stage1.ckpt"
+
+
+def _header_of_the_wrong_type(raw):
+    return raw[:8] + struct.pack("<I", 2) + b"[]"
+
+
+DECODE_INPUT_MUTATIONS = {
+    "missing": None,
+    "empty": lambda raw: b"",
+    "truncated": lambda raw: raw[:-10],
+    "garbage": lambda raw: b"\xff\xfe\x00 not the file \x80",
+    "wrong type": lambda raw: b"[]\n",
+}
+
+
+@pytest.mark.parametrize("artifact, mutation", [
+    (artifact, mutation) for artifact in ("checkpoint", "vocab.json", "test.jsonl")
+    for mutation in DECODE_INPUT_MUTATIONS] + [(None, "beam 0")])
+def test_decode_refuses_a_bad_input_and_keeps_its_output(decode_inputs, tmp_path, capsys,
+                                                         artifact, mutation):
+    """Each file decode reads, made missing, empty, truncated, garbage or of
+    the wrong JSON type, ends in exit 2 with an error naming the file, and
+    an earlier --out is left as it was; so does a usage error, with exit 1."""
+    data, ckpt = tmp_path / "corpus", tmp_path / "model.ckpt"
+    shutil.copytree(decode_inputs[0], data)
+    shutil.copyfile(decode_inputs[1], ckpt)
+    hyp, before = tmp_path / "hyp.jsonl", b'{"id": "kept", "log_prob": 0.0, "tokens": []}\n'
+    hyp.write_bytes(before)
+    beam = "0" if mutation == "beam 0" else "2"
+    if artifact is not None:
+        path = ckpt if artifact == "checkpoint" else data / artifact
+        mutate = DECODE_INPUT_MUTATIONS[mutation]
+        if artifact == "checkpoint" and mutation == "wrong type":
+            mutate = _header_of_the_wrong_type
+        raw = path.read_bytes()
+        path.unlink()
+        if mutate is not None:
+            path.write_bytes(mutate(raw))
+    code = run_cli(["decode", "--ckpt", str(ckpt), "--corpus", str(data), "--split", "test",
+                    "--beam", beam, "--out", str(hyp)])
+    err = capsys.readouterr().err
+    assert code == (1 if artifact is None else 2)
+    assert "Traceback" not in err
+    if artifact is not None:
+        assert err.startswith("error: ") and str(path) in err
+    assert hyp.read_bytes() == before
+    assert set(os.listdir(tmp_path)) <= {"corpus", "hyp.jsonl", "model.ckpt"}
 
 
 def test_grad_check_command(capsys):

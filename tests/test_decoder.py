@@ -292,6 +292,7 @@ def test_batched_beam_matches_per_hypothesis_reference():
                 for max_len in (1, 3, 5):
                     hyp = _assert_matches_reference(t_feats, i_feats, cfg, params,
                                                     beam, max_len)
+                    assert hyp.hit_max_len is (len(hyp.tokens) == max_len)
                     if len(hyp.tokens) == max_len:
                         hit_max_len += 1
                     else:
@@ -331,12 +332,20 @@ def _scripted_decoder(cfg, best, seen):
     return forward
 
 
+def _scripted_step(cfg, best, seen):
+    """The same script as a stand-in for the search's step, which gets the
+    live prefixes [n x step] and returns the last position's logits; it
+    keeps no self-attention cache."""
+    forward = _scripted_decoder(cfg, best, seen)
+    return lambda prefixes, *args: (forward(prefixes).data[:, -1], [])
+
+
 def _same_search(monkeypatch, cfg, params, best, beam, max_len):
     """Run both searches on a scripted decoder; they must visit the same
     prefixes at every step and return the same hypothesis."""
     args = (_audio(3, 4), empty_visual(4), cfg, params, beam, max_len)
     searched, seen = {}, {}
-    monkeypatch.setattr(decoder, "decoder_forward", _scripted_decoder(cfg, best, searched))
+    monkeypatch.setattr(decoder, "_decode_step", _scripted_step(cfg, best, searched))
     hyp = beam_decode(*args)
     monkeypatch.setattr(decoder, "decoder_forward", _scripted_decoder(cfg, best, seen))
     assert hyp == _reference_beam_decode(*args)
@@ -366,16 +375,51 @@ def test_ties_across_parents_follow_token_order(monkeypatch):
 def test_one_decoder_call_per_search_step(monkeypatch):
     cfg, params = _decoder(6, seed=5)
     widths = []
+    step = decoder._decode_step
 
-    def counted(targets_in, *args, **kwargs):
-        widths.append(np.shape(targets_in))
-        return decoder_forward(targets_in, *args, **kwargs)
+    def counted(prefixes, *args):
+        widths.append(np.shape(prefixes))
+        return step(prefixes, *args)
 
-    monkeypatch.setattr(decoder, "decoder_forward", counted)
+    def rerun(*args, **kwargs):
+        raise AssertionError("the search re-ran the decoder over whole prefixes")
+
+    monkeypatch.setattr(decoder, "_decode_step", counted)
+    monkeypatch.setattr(decoder, "decoder_forward", rerun)
     params.out_w.data[:] = 0.0  # no EOS in a beam of 4: runs to max_len
     hyp = beam_decode(_audio(4, 4), _visual(2, 4), cfg, params, beam=4, max_len=5)
     assert len(hyp.tokens) == 5
     assert widths == [(1, 1), (4, 2), (4, 3), (4, 4), (4, 5)]
+
+
+def test_each_step_matches_the_teacher_forced_decoder(monkeypatch):
+    """The cached step's log-probs at every step of real searches equal
+    those of decoder_forward run on each whole live prefix."""
+    step, steps = decoder._decode_step, []
+
+    def recorded(prefixes, *args):
+        logits, cache = step(prefixes, *args)
+        steps.append((prefixes, tn.log_softmax_rows(logits).data))
+        return logits, cache
+
+    monkeypatch.setattr(decoder, "_decode_step", recorded)
+    worst = 0.0
+    for seed in range(4):
+        cfg, params = _decoder(6 + seed % 2, d=4 * (1 + seed % 2), heads=2, seed=seed)
+        rng = np.random.default_rng(500 + seed)
+        t_feats = _audio(3 + seed, cfg.d_model, rng)
+        for i_len in (0, 3):
+            i_feats = _visual(i_len, cfg.d_model, rng)
+            for beam in (1, 2, 4, 64):
+                steps.clear()
+                beam_decode(t_feats, i_feats, cfg, params, beam=beam, max_len=5)
+                with tn.no_grad():
+                    for prefixes, log_p in steps:
+                        for prefix, row in zip(prefixes, log_p):
+                            logits = decoder_forward(prefix, t_feats, i_feats, cfg, params)
+                            want = tn.log_softmax_rows(logits).data[-1]
+                            worst = max(worst, np.max(np.abs(row - want)))
+    assert worst <= 1e-12
 
 
 def test_beam_config_validation():

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import random
+import re
 import struct
 
 import numpy as np
@@ -383,7 +384,7 @@ def test_truncated_checkpoint_names_parameter(tmp_path):
     first = json.loads(raw[12 : 12 + hlen].decode("utf-8"))["params"][0]["name"]
     cut = tmp_path / "cut.ckpt"
     cut.write_bytes(raw[: 12 + hlen + 2])
-    with pytest.raises(CheckpointTruncatedError, match=first):
+    with pytest.raises(CheckpointTruncatedError, match=f"{re.escape(str(cut))}: .*{first}"):
         load_checkpoint(str(cut))
     header_cut = tmp_path / "hcut.ckpt"
     header_cut.write_bytes(raw[:10])
@@ -819,7 +820,7 @@ def test_checkpoint_fuzz_raises_only_checkpoint_errors(tmp_path):
     bad = tmp_path / "bad.ckpt"
     for case in cases:
         bad.write_bytes(case)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=f"^checkpoint {re.escape(str(bad))}: "):
             load_checkpoint(str(bad))
 
 
