@@ -41,7 +41,7 @@ from .errors import (
     VocabError,
 )
 from .metrics import align_edit, error_breakdown, wer
-from .model import Model, ModelConfig, make_decoder_config
+from .model import Model, ModelConfig, make_decoder_config, round_to_f32
 from .train import (
     TrainConfig,
     check_stage,
@@ -164,6 +164,9 @@ def cmd_train(args):
 
 def cmd_decode(args):
     model, _, _, _ = load_checkpoint(args.ckpt)
+    # Decoding runs in float64: float64 arrays again for the parameters that
+    # the checkpoint's optimizer, unused here, holds in float32.
+    round_to_f32(model.named_parameters())
     vocab = read_vocab(os.path.join(args.corpus, "vocab.json"))
     split = os.path.join(args.corpus, f"{args.split}.jsonl")
     utts = read_split(split, vocab)

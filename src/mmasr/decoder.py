@@ -138,7 +138,7 @@ def dual_cross_attention(q, t_feats, i_feats, params):
     head_i = attention(q, i_feats.frames, i_feats.frames, params.visual_branch,
                        mask=key_mask(lengths, i_feats.i_len))
     if lengths is not None and lengths.min() == 0:
-        head_i = tn.mul(head_i, (lengths > 0).astype(np.float64)[:, None, None])
+        head_i = tn.mul(head_i, (lengths > 0).astype(head_i.data.dtype)[:, None, None])
     return tn.add(head_t, head_i)
 
 
@@ -196,11 +196,13 @@ def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
         memory = [_cross_memory(t_feats, i_feats, block.cross) for block in params.blocks]
         empty = np.zeros((1, cfg.n_heads, cfg.d_model // cfg.n_heads, 0))
         cache = [(empty, np.swapaxes(empty, -1, -2))] * cfg.n_blocks
+        positions = sinusoidal_positions(max_len, cfg.d_model)
         prefixes = np.array([[bos]])  # live hypotheses, BOS first, in token order
         log_probs = np.zeros(1)
         finished = []  # (tokens without EOS, log_prob, tokens emitted incl. EOS)
         for step in range(1, max_len + 1):
-            logits, cache = _decode_step(prefixes, cache, memory, cfg, params)
+            logits, cache = _decode_step(prefixes, positions[step - 1], cache, memory,
+                                         cfg, params)
             last = tn.log_softmax_rows(logits).data[:, ids]
             scores = (log_probs[:, None] + last).ravel()
             # The rows, so the candidates, are in token order; a stable sort keeps ties so.
@@ -234,12 +236,13 @@ def _cross_memory(t_feats, i_feats, cross):
     return memory
 
 
-def _decode_step(prefixes, cache, memory, cfg, params):
+def _decode_step(prefixes, position, cache, memory, cfg, params):
     """``decoder_forward`` (its oracle) on each live prefix's [n x step] last position
-    alone: (logits [n x vocab_size], ``cache`` extended by that position)."""
-    n, step = prefixes.shape
+    alone, whose sinusoidal row is ``position``: (logits [n x vocab_size], ``cache``
+    extended by that position)."""
+    n = len(prefixes)
     d, h = cfg.d_model, cfg.n_heads
-    x = params.embed.data[prefixes[:, -1]] + sinusoidal_positions(step, d)[-1]
+    x = params.embed.data[prefixes[:, -1]] + position
     extended = []
     for block, (keys, values), branches in zip(params.blocks, cache, memory):
         p = block.self_attn

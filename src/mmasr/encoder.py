@@ -155,9 +155,10 @@ def encode_audio(frames, cfg, params, lengths=None):
     t_len = h.shape[-2]
     if lengths is not None:
         lengths = subsampled_length(np.asarray(lengths, dtype=np.int64), factor)
-    h = tn.add(h, sinusoidal_positions(t_len, cfg.d_model))
+    dtype = h.data.dtype
+    h = tn.add(h, sinusoidal_positions(t_len, cfg.d_model).astype(dtype))
     mask = key_mask(lengths, t_len)
-    frame_mask = None if mask is None else np.swapaxes(mask, -1, -2).astype(np.float64)
+    frame_mask = None if mask is None else np.swapaxes(mask, -1, -2).astype(dtype)
     for block in params.blocks:
         h = encoder_block(h, block, mask, frame_mask)
     return AudioFeatures(frames=h, lengths=lengths)

@@ -178,4 +178,4 @@ def embed(tokens, table):
         bad = tokens[(tokens < 0) | (tokens >= V)][0]
         raise VocabError(f"token id {bad} outside vocabulary of size {V}")
     looked = tn.gather_rows(table, tokens)
-    return tn.add(looked, sinusoidal_positions(tokens.shape[-1], d))
+    return tn.add(looked, sinusoidal_positions(tokens.shape[-1], d).astype(looked.data.dtype))

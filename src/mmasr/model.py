@@ -2,8 +2,10 @@
 and the fusion decoder, with flat named-parameter access for the optimizer
 and checkpointing.
 
-Parameter values are kept exactly representable in float32 (computation
-stays float64) so checkpoint payloads round-trip bitwise.
+Parameter values are float32 numbers, so checkpoint payloads round-trip
+bitwise. ``Model.init``, ``reinit_fusion`` and ``train.load_checkpoint``
+hold them in float64 arrays, and a model decodes in float64; an ``Adam``
+holds the ones it trains in float32, and training computes in float32.
 """
 
 from __future__ import annotations

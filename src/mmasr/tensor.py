@@ -1,9 +1,15 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Every operation records its inputs and a backward closure on the produced
 tensor; ``Tensor.backward()`` walks the recorded graph in reverse
 topological order. The traversal order is fixed, so gradient accumulation
 is bit-reproducible across runs.
+
+A tensor keeps the dtype of a float32 or float64 array and makes anything
+else float64; an operation computes in the dtype numpy promotes its
+operands to, and a gradient takes its tensor's dtype. So a model whose
+parameters are float32 trains in float32 with no switch, and float64
+inputs run in float64. Log-softmax rows are float64 whatever their input.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 _grad_enabled = True
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _NORM_EPS = 1e-5  # the layer norm's variance floor
 
 
@@ -37,7 +44,7 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _float_array(data)
         self.grad = None
         if _grad_enabled:
             self._parents = tuple(_parents)
@@ -108,10 +115,11 @@ def _register(out, backward):
 
 def _accum(t, g):
     # ``g`` is handed over: its producer made it for ``t`` alone and does not
-    # use it again, so the first gradient is stored without a copy. Where one
-    # array would reach two tensors (``add``), the producer copies.
+    # use it again, so the first gradient is stored without a copy unless it
+    # must be cast to ``t``'s dtype. Where one array would reach two tensors
+    # (``add``), the producer copies.
     if t.grad is None:
-        t.grad = np.asarray(g, dtype=np.float64)
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -126,8 +134,14 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _float_array(x):
+    """``x`` as an array: float32 and float64 keep their dtype, all else is float64."""
+    x = np.asarray(x)
+    return x if x.dtype in _FLOAT_DTYPES else x.astype(np.float64)
+
+
 def _value(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    return x.data if isinstance(x, Tensor) else _float_array(x)
 
 
 def _inputs(*xs):
@@ -218,10 +232,13 @@ def sum_all(a):
 
 
 def log_softmax_rows(x):
+    """Log-softmax over the last axis, in float64 for any input dtype: the
+    CTC recursion and the cross-entropy sum many of these values."""
     x = as_tensor(x)
     if not np.all(np.isfinite(x.data)):
         raise NumericError("log_softmax input contains non-finite values")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    xd = np.asarray(x.data, dtype=np.float64)
+    shifted = xd - xd.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
     out = Tensor(y, (x,))
@@ -309,7 +326,7 @@ def _attend(qh, kh, vh, penalty=None):
     probs = np.matmul(qh, kh)  # [..., h x L_q x L_k]
     probs *= 1.0 / math.sqrt(qh.shape[-1])
     if penalty is not None:
-        probs += penalty
+        probs += penalty.astype(probs.dtype, copy=False)
     if not np.all(np.isfinite(probs)):
         raise NumericError("softmax input contains non-finite values")
     probs -= probs.max(axis=-1, keepdims=True)
@@ -392,7 +409,7 @@ def conv_module(x, norm, w_in, kernel, w_out, frame_mask=None):
     rows = xd.reshape(-1, xd.shape[-1])
     padded = np.pad((rows @ w_in.data).reshape(lead + (L, d)),
                     ((0, 0),) * len(lead) + ((half, half), (0, 0)))
-    h = np.zeros(lead + (L, d))
+    h = np.zeros(lead + (L, d), dtype=padded.dtype)
     for j in range(width):
         h += padded[..., j : j + L, :] * kernel.data[j]
     sig = 1.0 / (1.0 + np.exp(-h))
@@ -448,10 +465,10 @@ def mean_pool_rows(a, factor, lengths=None):
     n_out = -(-m // factor)
     frame = np.arange(n_out * factor)
     limit = m if lengths is None else np.asarray(lengths).reshape(lead + (1,))
-    valid = (frame < limit).astype(np.float64)  # [..., n_out * factor]
+    valid = (frame < limit).astype(a.data.dtype)  # [..., n_out * factor]
     counts = valid.reshape(valid.shape[:-1] + (n_out, factor)).sum(axis=-1)
     counts = np.maximum(counts, 1.0)[..., None]  # [..., n_out, 1]
-    padded = np.zeros(lead + (n_out * factor, d))
+    padded = np.zeros(lead + (n_out * factor, d), dtype=a.data.dtype)
     padded[..., :m, :] = a.data
     padded *= valid[..., None]
     windows = padded.reshape(lead + (n_out, factor, d)).sum(axis=-2)

@@ -94,11 +94,12 @@ ADAM_CHUNK = 16384
 class Adam:
     """Adam with Noam-style inverse-sqrt warmup.
 
-    The trainable parameters live in one contiguous float64 arena, in
-    ``trainable`` order: each parameter's ``data`` is a view of it. The
-    moments are flat float32 arrays, and ``m`` and ``v`` map each name to
-    its view. Parameter and moment values are rounded to float32 precision
-    after every update so checkpoints round-trip bitwise.
+    The trainable parameters live in one contiguous float32 arena, in
+    ``trainable`` order: each parameter's ``data`` is a float32 view of it,
+    so the model trains in float32. The moments are flat float32 arrays,
+    and ``m`` and ``v`` map each name to its view. An update is computed in
+    float64 from float64 gradients and rounded to float32 as it is stored,
+    so checkpoints round-trip bitwise.
     """
 
     def __init__(self, params, trainable, peak_lr, warmup,
@@ -117,12 +118,11 @@ class Adam:
         self.t = t
         self.grad_norm = math.nan  # of the gradients of the last step
         size = sum(p.data.size for p in tensors)
-        self.arena = np.empty(size)
+        self.arena = np.empty(size, dtype=np.float32)
         self._m = np.zeros(size, dtype=np.float32)
         self._v = np.zeros(size, dtype=np.float32)
         self._grads = np.empty(size)
         self._temps = np.empty((4, min(size, ADAM_CHUNK)))
-        self._rounded = np.empty(min(size, ADAM_CHUNK), dtype=np.float32)
         self.m, self.v = {}, {}
         self._slots = []  # (name, tensor, its arena view, its gradient view)
         start = 0
@@ -174,7 +174,7 @@ class Adam:
         # Per slice, in place, the operations of
         #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
         #   p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        # in this order, then p, m and v rounded to float32.
+        # in this order, p, m and v each rounded to float32 as it is stored.
         for start in range(0, self.arena.size, ADAM_CHUNK):
             span = slice(start, start + ADAM_CHUNK)
             p, g, m32, v32 = self.arena[span], self._grads[span], self._m[span], self._v[span]
@@ -192,9 +192,7 @@ class Adam:
             np.sqrt(y, out=y)
             np.add(y, eps, out=y)
             np.divide(x, y, out=x)
-            rounded = self._rounded[: p.size]
-            np.subtract(p, x, out=rounded, casting="same_kind")
-            np.copyto(p, rounded)
+            np.subtract(p, x, out=p, casting="same_kind")
             np.copyto(m32, m, casting="same_kind")
             np.copyto(v32, v, casting="same_kind")
         return lr
@@ -257,7 +255,7 @@ class SpeechCache:
         self.encoded = 0  # utterances run through the encoder so far
 
     def batch(self, model, utts):
-        """(AudioFeatures of ``utts`` zero-padded to a float64 constant
+        """(AudioFeatures of ``utts`` zero-padded to a float32 constant
         [B x t_len x d_model], their mean CTC loss as a numpy scalar)."""
         frozen = model.speech_parameters()
         if (len(frozen) != len(self.arrays)
@@ -282,7 +280,7 @@ class SpeechCache:
                 self.entries[key] = (feats.frames.data.astype("<f4"), loss)
                 self.encoded += 1
             found.append(self.entries[key])
-        frames, lengths = pad_batch([f for f, _ in found], dtype=np.float64)
+        frames, lengths = pad_batch([f for f, _ in found], dtype=np.float32)
         loss = np.sum(np.array([c for _, c in found])) * (1.0 / len(utts))
         return AudioFeatures(frames, lengths), np.asarray(loss)
 
@@ -315,7 +313,8 @@ def utterance_losses(model, batch, use_visual_flags, cfg):
             model.speech_cache = SpeechCache()
         feats, loss_ctc = model.speech_cache.batch(model, utts)
     else:
-        frames, raw_lengths = pad_batch([utt.audio for utt in utts], dtype=np.float64)
+        frames, raw_lengths = pad_batch([utt.audio for utt in utts],
+                                        dtype=model.encoder.in_proj.data.dtype)
         feats = encode_audio(frames, enc_cfg, model.encoder, raw_lengths)
         per_utt = ctc_mod.ctc_loss(ctc_head(feats, model.ctc_w),
                                    [utt.ref for utt in utts], feats.lengths)

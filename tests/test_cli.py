@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mmasr
@@ -362,6 +363,26 @@ def test_audio_modality_equals_zeroed_visual_branch(workspace, capsys):
     assert run_cli(["decode", "--ckpt", ablated, "--corpus", data,
                     "--modality", "audio+visual", "--out", ablated_hyp]) == 0
     assert open(audio_hyp, "rb").read() == open(ablated_hyp, "rb").read()
+    capsys.readouterr()
+
+
+def test_decode_is_float64_whether_or_not_the_checkpoint_has_optimizer_state(workspace,
+                                                                              capsys):
+    """Loading stage2.ckpt builds its Adam, which holds the trained parameters
+    in float32; the decode still runs in float64, so it writes the hypotheses
+    of the same parameters saved without optimizer state byte for byte."""
+    tmp_path, cfg_path = workspace
+    data, out = _pipeline(tmp_path, cfg_path)
+    model, opt, _, _ = load_checkpoint(f"{out}/stage2.ckpt")
+    assert model.decoder.out_w.data.dtype == np.float32 and opt is not None
+    bare = str(tmp_path / "bare.ckpt")
+    save_checkpoint(bare, model)
+    hyps = []
+    for ckpt in (f"{out}/stage2.ckpt", bare):
+        hyps.append(str(tmp_path / f"{len(hyps)}.jsonl"))
+        assert run_cli(["decode", "--ckpt", ckpt, "--corpus", data,
+                        "--modality", "audio+visual", "--out", hyps[-1]]) == 0
+    assert open(hyps[0], "rb").read() == open(hyps[1], "rb").read()
     capsys.readouterr()
 
 

@@ -108,6 +108,25 @@ def test_rejects_unnormalized_rows():
         ctc_loss(Tensor(np.zeros((2, 3))), [1])
 
 
+def test_float32_logits_pass_the_unchanged_check_in_float64():
+    """log_softmax_rows of float32 logits is float64, so the CTC loss of a
+    float32 model passes the 1e-9 exp-sum check: the loss is bitwise that
+    of the same logits in float64, and the logits' gradient is float32, the
+    float64 one rounded."""
+    logits = RNG.standard_normal((2, 7, 5)).astype(np.float32)
+    narrow, wide = Tensor(logits), Tensor(logits.astype(np.float64))
+    losses = []
+    for x in (narrow, wide):
+        log_probs = tn.log_softmax_rows(x)
+        assert log_probs.data.dtype == np.float64
+        loss = ctc_loss(log_probs, [[1, 2], [3]], [7, 5])
+        tn.sum_all(loss).backward()
+        losses.append(loss.data.tobytes())
+    assert losses[0] == losses[1]
+    assert narrow.grad.dtype == np.float32
+    assert narrow.grad.tobytes() == wide.grad.astype(np.float32).tobytes()
+
+
 def test_greedy_collapse_rules():
     assert collapse([BLANK, BLANK]) == []
     assert collapse([1, 1, BLANK, 1]) == [1, 1]

@@ -67,8 +67,14 @@ def micro_model(seed=0):
 
 
 def model_bytes(model, prefix=""):
+    """Each parameter's values as float32 bytes. Every value is a float32;
+    the parameters an optimizer holds are float32 arrays, the others float64."""
     params = model.named_parameters()
-    return {n: params[n].data.tobytes() for n in params if n.startswith(prefix)}
+    return {n: params[n].data.astype("<f4").tobytes() for n in params if n.startswith(prefix)}
+
+
+def param_dtypes(model, prefix=""):
+    return {t.data.dtype for n, t in model.named_parameters().items() if n.startswith(prefix)}
 
 
 def test_single_sgd_step_on_quadratic():
@@ -141,9 +147,12 @@ def test_zero_learning_rate_changes_nothing():
     model = micro_model()
     before = model_bytes(model)
     cfg = TrainConfig(stage="audio_only", peak_lr=0.0, max_steps=3, batch_size=2)
-    _, _, history = run_stage(model, splits["train"], cfg)
+    opt, _, history = run_stage(model, splits["train"], cfg)
     assert model_bytes(model) == before
     assert all(np.isfinite(h["loss_total"]) for h in history)
+    trained = set(opt.trainable)
+    assert all(t.data.dtype == (np.float32 if n in trained else np.float64)
+               for n, t in model.named_parameters().items())
 
 
 def test_lambda_endpoints_gate_gradients():
@@ -461,6 +470,9 @@ def test_run_recipe_writes_checkpoints_and_logs(tmp_path):
     m2, _, _, _ = load_checkpoint(str(tmp_path / "stage2.ckpt"))
     assert model_bytes(m1, "encoder.") == model_bytes(m2, "encoder.")
     assert model_bytes(m1, "visual.") != model_bytes(m2, "visual.")
+    # Each stage's optimizer holds what it trains in float32.
+    assert param_dtypes(m1, "encoder.") == param_dtypes(m2, "visual.") == {np.dtype(np.float32)}
+    assert param_dtypes(m1, "visual.") == param_dtypes(m2, "encoder.") == {np.dtype(np.float64)}
 
 
 def test_validation_records_report_edit_counts(tmp_path):
@@ -536,6 +548,83 @@ def _feasible(model, utt):
     except FeasibilityError:
         return False
     return True
+
+
+def _dropout_batch(model, stage, n=8):
+    """Criterion 6's first feasible training utterances, one without visual
+    text, and the stage's visual flags: in stage 2, one utterance's visual
+    text is dropped."""
+    corpus = CorpusConfig(seed=2024)
+    vocab = build_vocab(corpus)
+    utts = [gen_utterance(corpus, vocab, "train", i) for i in range(2 * n)]
+    batch = [dataclasses.replace(u) for u in utts if _feasible(model, u)][:n]
+    batch[2].ocr = []
+    assert len({len(u.audio) for u in batch}) > 2
+    return batch, [stage == "fusion" and i != 4 for i in range(n)]
+
+
+def _criterion_6_model(seed):
+    return Model.init(load_checkpoint(str(STAGE1_FIXTURE))[0].cfg, seed)
+
+
+@pytest.mark.parametrize("stage", ["audio_only", "fusion"])
+def test_a_float32_train_step_makes_no_float64_tensor(stage, monkeypatch):
+    """Once an Adam holds the trainable parameters in float32, a train step's
+    graph is float32 up to the log-softmax rows: a float64 tensor is a
+    log-softmax output or computed from float64 tensors alone (CTC,
+    cross-entropy, the loss). So no constant upcasts a layer. On a padded
+    batch with masks and, in stage 2, visual dropout and a row without
+    visual text; every parameter gradient is float32 too."""
+    model = _criterion_6_model(seed=3)
+    batch, flags = _dropout_batch(model, stage)
+    cfg = _stage_config(stage)
+    Adam(model.named_parameters(), trainable_names(model, cfg), cfg.peak_lr, cfg.warmup)
+    heads = []
+    log_softmax_rows = tn.log_softmax_rows
+
+    def recorded(x):
+        heads.append(log_softmax_rows(x))
+        return heads[-1]
+
+    monkeypatch.setattr(tn, "log_softmax_rows", recorded)
+    l_ctc, l_att, skipped = utterance_losses(model, batch, flags, cfg)
+    total = tn.add(tn.scale(l_ctc, cfg.lambda_ctc), tn.scale(l_att, 1.0 - cfg.lambda_ctc))
+    order = tn._topo_order(total)
+    in_graph = {id(node) for node in order}  # not the speech cache's log-probs
+    heads = [h for h in heads if id(h) in in_graph]
+    assert skipped == 0 and len(heads) == (1 if cfg.freeze_encoder else 2)
+    wide = {id(node) for node in order if node.data.dtype == np.float64}
+    assert {id(h) for h in heads} <= wide
+    for node in order:
+        if id(node) in wide and all(node is not h for h in heads):
+            assert all(id(p) in wide for p in node._parents), node
+        if node._backward is None:  # a leaf: a parameter the Adam holds
+            assert node.data.dtype == np.float32
+    assert all(p.data.dtype == np.float32 for h in heads for p in h._parents)
+    assert sum(node.data.dtype == np.float32 for node in order) > 3 * len(wide)
+    total.backward()
+    grads = [p.grad for p in model.named_parameters().values() if p.grad is not None]
+    assert grads and all(g.dtype == np.float32 for g in grads)
+
+
+@pytest.mark.parametrize("stage", ["audio_only", "fusion"])
+def test_float32_training_matches_its_float64_twin(stage):
+    """The same batch and parameter values in float32 (held by an Adam) and
+    in float64: the CTC and attention losses agree within 1e-5 relative, and
+    each parameter's gradient within 1e-5 of its largest float64 entry (the
+    worst measured was 1.3e-6 in stage 1, about ten float32 epsilons)."""
+    cfg = _stage_config(stage)
+    wide, narrow = _criterion_6_model(seed=5), _criterion_6_model(seed=5)
+    Adam(narrow.named_parameters(), trainable_names(narrow, cfg), cfg.peak_lr, cfg.warmup)
+    assert param_dtypes(narrow, "decoder.out_w") == {np.dtype(np.float32)}
+    assert param_dtypes(wide) == {np.dtype(np.float64)}
+    batch, flags = _dropout_batch(wide, stage)
+    *wide_losses, _, wide_grads = _losses_and_grads(wide, batch, flags, cfg)
+    *narrow_losses, _, narrow_grads = _losses_and_grads(narrow, batch, flags, cfg)
+    for got, want in zip(narrow_losses, wide_losses):
+        assert abs(got - want) <= 1e-5 * abs(want)
+    for name, want in wide_grads.items():
+        assert np.max(np.abs(narrow_grads[name] - want)) <= 1e-5 * np.max(np.abs(want)), name
 
 
 def test_padded_positions_get_exactly_zero_gradient():
@@ -617,12 +706,12 @@ def test_adam_refuses_a_non_finite_gradient():
 class ReferenceAdam:
     """The per-parameter Adam update that the flat arena replaced, kept as
     an oracle: float64 copies of an Adam's parameters and moments, updated
-    one array at a time."""
+    one array at a time from float64 copies of the gradients."""
 
     def __init__(self, opt):
         self.peak_lr, self.warmup = opt.peak_lr, opt.warmup
         self.beta1, self.beta2, self.eps, self.t = opt.beta1, opt.beta2, opt.eps, opt.t
-        self.p = {n: opt.params[n].data.copy() for n in opt.trainable}
+        self.p = {n: np.asarray(opt.params[n].data, dtype=np.float64) for n in opt.trainable}
         self.m = {n: np.asarray(opt.m[n], dtype=np.float64) for n in opt.trainable}
         self.v = {n: np.asarray(opt.v[n], dtype=np.float64) for n in opt.trainable}
 
@@ -632,6 +721,7 @@ class ReferenceAdam:
         return self.peak_lr * min(1.0, 1.0 / math.sqrt(t))
 
     def step(self, grads):
+        grads = {n: None if g is None else g.astype(np.float64) for n, g in grads.items()}
         self.grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()
                                        if g is not None))
         self.t += 1
@@ -666,8 +756,8 @@ def _step_against_reference(model, opt, ref, cfg, batch, scalar=None):
     assert abs(opt.grad_norm - ref.grad_norm) <= 1e-12 * ref.grad_norm
     for n in opt.trainable:
         p = opt.params[n].data
-        assert np.shares_memory(p, opt.arena), n
-        assert p.tobytes() == ref.p[n].tobytes(), n
+        assert np.shares_memory(p, opt.arena) and p.dtype == np.float32, n
+        assert p.tobytes() == ref.p[n].astype("<f4").tobytes(), n
         assert np.asarray(opt.m[n], dtype=np.float64).tobytes() == ref.m[n].tobytes(), n
         assert np.asarray(opt.v[n], dtype=np.float64).tobytes() == ref.v[n].tobytes(), n
 
@@ -698,7 +788,8 @@ def test_arena_adam_matches_the_per_parameter_update(stage, chunk, monkeypatch):
             out_w = params["decoder.out_w"]
             out_w.data = out_w.data * 0.5
             scalar.data = np.array(-0.5)
-            ref.p["decoder.out_w"], ref.p["scalar"] = out_w.data.copy(), scalar.data.copy()
+            ref.p["decoder.out_w"] = out_w.data.astype(np.float64)
+            ref.p["scalar"] = scalar.data.copy()
         batch = [splits["train"][int(i)] for i in rng.integers(0, 16, 4)]
         _step_against_reference(model, opt, ref, cfg, batch, scalar)
     assert unused.grad is None
@@ -827,7 +918,7 @@ def test_checkpoint_fuzz_raises_only_checkpoint_errors(tmp_path):
 def _copying_accum(t, g):
     """The accumulation that copied every first gradient, kept as an oracle."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -855,7 +946,7 @@ def test_gradients_taken_without_a_copy_match_the_copying_accumulation(stage, mo
             l_ctc, l_att, _ = utterance_losses(model, batch, flags, cfg)
             tn.add(tn.scale(l_ctc, cfg.lambda_ctc), tn.scale(l_att, 1.0 - cfg.lambda_ctc)).backward()
             held = [(n, p.grad) for n, p in params.items() if p.grad is not None]
-            assert all(g.dtype == np.float64 for _, g in held)
+            assert all(g.dtype == np.float32 for _, g in held)
             for i, (name, g) in enumerate(held):
                 for other, h in held[i + 1 :]:
                     assert not np.shares_memory(g, h), (name, other)
@@ -892,7 +983,7 @@ def test_speech_cache_entries_are_each_utterance_encoded_alone(source):
             in_batch = encode_audio(frames, model.cfg.encoder, model.encoder, raw)
             rows_ctc = ctc_loss(ctc_head(in_batch, model.ctc_w), [u.ref for u in batch],
                                 in_batch.lengths).data
-        assert feats.frames.dtype == np.float64 and feats.t_len == in_batch.t_len
+        assert feats.frames.dtype == np.float32 and feats.t_len == in_batch.t_len
         assert feats.lengths.tolist() == in_batch.lengths.tolist()
         losses = []
         for utt, row, n, want_ctc, got in zip(batch, feats.frames, feats.lengths, rows_ctc,
@@ -900,7 +991,7 @@ def test_speech_cache_entries_are_each_utterance_encoded_alone(source):
             with tn.no_grad():
                 alone = encode_audio(np.asarray(utt.audio, dtype=np.float64),
                                      model.cfg.encoder, model.encoder).frames.data
-            assert row[:n].tobytes() == alone.astype("<f4").astype(np.float64).tobytes()
+            assert row[:n].tobytes() == alone.astype("<f4").tobytes()
             assert not np.any(row[n:])
             assert np.all(np.abs(row[:n] - got[:n]) <= 2.0**-24 * np.abs(got[:n]))
             _, loss = cache.batch(model, [utt])
