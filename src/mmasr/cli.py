@@ -41,7 +41,7 @@ from .errors import (
     VocabError,
 )
 from .metrics import align_edit, error_breakdown, wer
-from .model import Model, ModelConfig, make_decoder_config, round_to_f32
+from .model import Model, ModelConfig, make_decoder_config
 from .train import (
     TrainConfig,
     check_stage,
@@ -164,9 +164,6 @@ def cmd_train(args):
 
 def cmd_decode(args):
     model, _, _, _ = load_checkpoint(args.ckpt)
-    # Decoding runs in float64: float64 arrays again for the parameters that
-    # the checkpoint's optimizer, unused here, holds in float32.
-    round_to_f32(model.named_parameters())
     vocab = read_vocab(os.path.join(args.corpus, "vocab.json"))
     split = os.path.join(args.corpus, f"{args.split}.jsonl")
     utts = read_split(split, vocab)
@@ -179,7 +176,8 @@ def cmd_decode(args):
         start = time.perf_counter()
         hyp = decode_utterance(model, utt, use_visual, beam=args.beam)
         timings.append({"id": utt.uid, "ms": (time.perf_counter() - start) * 1e3,
-                        "tokens": len(hyp.tokens), "hit_max_len": hyp.hit_max_len})
+                        "tokens": len(hyp.tokens), "hit_max_len": hyp.hit_max_len,
+                        "steps": hyp.steps})
         hyps.append({"id": utt.uid, "tokens": hyp.tokens, "log_prob": hyp.log_prob})
     _write_json_lines(args.out, hyps)
     _write_json_lines(metrics_path(args.out), timings)

@@ -176,6 +176,7 @@ class Hypothesis:
     log_prob: float
     normalized: float
     hit_max_len: bool = field(default=False, compare=False)  # ended without EOS
+    steps: int = field(default=0, compare=False)  # search steps the search ran
 
 
 def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
@@ -185,6 +186,13 @@ def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
     hypotheses in one call (``_decode_step``). Ties break toward the
     lexicographically smaller token sequence (lower token id first, shorter
     hypothesis on prefix ties). A hypothesis ends at EOS or after max_len tokens.
+
+    The search stops early, with the hypothesis a full search would return
+    (Huang, Zhao & Ma 2017, "When to Finish? Optimal Beam Search for Neural
+    Text Generation"): every log-prob is <= 0, so no continuation of a live
+    hypothesis ends with a normalized score above its log_prob / max_len.
+    Once that bound is strictly below the best finished score for every
+    live hypothesis, none of them can win, nor tie and win on token order.
     """
     if beam < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam}")
@@ -200,29 +208,31 @@ def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
         prefixes = np.array([[bos]])  # live hypotheses, BOS first, in token order
         log_probs = np.zeros(1)
         finished = []  # (tokens without EOS, log_prob, tokens emitted incl. EOS)
+        best_done = -np.inf  # the best normalized score in ``finished``
         for step in range(1, max_len + 1):
             logits, cache = _decode_step(prefixes, positions[step - 1], cache, memory,
                                          cfg, params)
             last = tn.log_softmax_rows(logits).data[:, ids]
             scores = (log_probs[:, None] + last).ravel()
-            # The rows, so the candidates, are in token order; a stable sort keeps ties so.
-            best = np.argsort(-(scores / step), kind="stable")[:beam]
+            # The rows, so the candidates, are in token order: a stable sort keeps ties
+            # so, and the chosen candidates, taken in index order, stay in token order.
+            best = np.sort(np.argsort(-(scores / step), kind="stable")[:beam])
             parent, token = np.divmod(best, len(ids))
             prefixes = np.column_stack((prefixes[parent], ids[token]))
             log_probs = scores[best]
             done = (prefixes[:, -1] == eos) | (step == max_len)
-            finished += [(tuple(t for t in toks if t != eos), lp, step) for toks, lp in
-                         zip(prefixes[done, 1:].tolist(), log_probs[done].tolist())]
-            live = np.lexsort(prefixes.T[::-1])
-            live = live[~done[live]]
-            prefixes, log_probs = prefixes[live], log_probs[live]
-            if not len(live):
+            if done.any():
+                finished += [(tuple(t for t in toks if t != eos), lp, step) for toks, lp in
+                             zip(prefixes[done, 1:].tolist(), log_probs[done].tolist())]
+                best_done = max(best_done, log_probs[done].max() / step)
+            prefixes, log_probs, parent = prefixes[~done], log_probs[~done], parent[~done]
+            if (log_probs / max_len < best_done).all():  # also when no hypothesis is live
                 break
-            cache = [(keys[parent[live]], values[parent[live]]) for keys, values in cache]
+            cache = [(keys[parent], values[parent]) for keys, values in cache]
         finished.sort(key=lambda c: (-c[1] / c[2], c[0]))
         toks, lp, n = finished[0]
         return Hypothesis(tokens=list(toks), log_prob=lp, normalized=lp / n,
-                          hit_max_len=len(toks) == n)
+                          hit_max_len=len(toks) == n, steps=step)
 
 
 def _cross_memory(t_feats, i_feats, cross):

@@ -235,12 +235,12 @@ def log_softmax_rows(x):
     """Log-softmax over the last axis, in float64 for any input dtype: the
     CTC recursion and the cross-entropy sum many of these values."""
     x = as_tensor(x)
-    if not np.all(np.isfinite(x.data)):
+    if not np.isfinite(x.data).all():
         raise NumericError("log_softmax input contains non-finite values")
     xd = np.asarray(x.data, dtype=np.float64)
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    y = shifted - lse
+    y = xd - np.maximum.reduce(xd, axis=-1, keepdims=True)
+    lse = np.add.reduce(np.exp(y), axis=-1, keepdims=True)
+    y -= np.log(lse, out=lse)
     out = Tensor(y, (x,))
 
     def backward(g):
@@ -327,11 +327,11 @@ def _attend(qh, kh, vh, penalty=None):
     probs *= 1.0 / math.sqrt(qh.shape[-1])
     if penalty is not None:
         probs += penalty.astype(probs.dtype, copy=False)
-    if not np.all(np.isfinite(probs)):
+    if not np.isfinite(probs).all():
         raise NumericError("softmax input contains non-finite values")
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     return probs, np.matmul(probs, vh)
 
 
@@ -343,9 +343,12 @@ def _normalize(x, norm):
     (gy - mean(gy) - y * mean(gy * y)) / sqrt(var + eps)."""
     xd, gamma, beta = _value(x), norm.gamma, norm.beta
     d = xd.shape[-1]
-    centered = xd - xd.sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + _NORM_EPS)
-    y = centered * inv_std
+    y = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d  # centered, normalized below
+    inv_std = np.add.reduce(y * y, axis=-1, keepdims=True)
+    inv_std /= d
+    inv_std += _NORM_EPS
+    np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
+    y *= inv_std
 
     def backward(g):
         _accum(beta, _unbroadcast(g, beta.data.shape))
@@ -407,8 +410,9 @@ def conv_module(x, norm, w_in, kernel, w_out, frame_mask=None):
     xd = normed if frame_mask is None else normed * frame_mask
     lead, L, half = xd.shape[:-2], xd.shape[-2], width // 2
     rows = xd.reshape(-1, xd.shape[-1])
-    padded = np.pad((rows @ w_in.data).reshape(lead + (L, d)),
-                    ((0, 0),) * len(lead) + ((half, half), (0, 0)))
+    proj = rows @ w_in.data
+    padded = np.zeros(lead + (L + 2 * half, d), dtype=proj.dtype)
+    padded[..., half : half + L, :] = proj.reshape(lead + (L, d))
     h = np.zeros(lead + (L, d), dtype=padded.dtype)
     for j in range(width):
         h += padded[..., j : j + L, :] * kernel.data[j]

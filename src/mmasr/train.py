@@ -174,15 +174,19 @@ class Adam:
         # Per slice, in place, the operations of
         #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
         #   p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        # in this order, p, m and v each rounded to float32 as it is stored.
+        # in this order, in float64: p, m and v are copied into float64
+        # temporaries, so every pass is same-dtype, and each is rounded to
+        # float32 as it is stored.
         for start in range(0, self.arena.size, ADAM_CHUNK):
             span = slice(start, start + ADAM_CHUNK)
             p, g, m32, v32 = self.arena[span], self._grads[span], self._m[span], self._v[span]
             m, v, x, y = self._temps[:, : p.size]
-            np.multiply(m32, b1, out=m, dtype=np.float64)
+            np.copyto(m, m32)
+            np.multiply(m, b1, out=m)
             np.multiply(g, 1.0 - b1, out=x)
             np.add(m, x, out=m)
-            np.multiply(v32, b2, out=v, dtype=np.float64)
+            np.copyto(v, v32)
+            np.multiply(v, b2, out=v)
             np.multiply(g, 1.0 - b2, out=x)
             np.multiply(x, g, out=x)
             np.add(v, x, out=v)
@@ -192,7 +196,9 @@ class Adam:
             np.sqrt(y, out=y)
             np.add(y, eps, out=y)
             np.divide(x, y, out=x)
-            np.subtract(p, x, out=p, casting="same_kind")
+            np.copyto(y, p)
+            np.subtract(y, x, out=y)
+            np.copyto(p, y, casting="same_kind")
             np.copyto(m32, m, casting="same_kind")
             np.copyto(v32, v, casting="same_kind")
         return lr

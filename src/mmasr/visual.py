@@ -66,8 +66,9 @@ def encode_visual(ocr_tokens, params, frozen=False, lengths=None):
 
     ``ocr_tokens`` is one sequence [i_len], or a batch zero-padded to
     [B x i_len] with each row's token count in ``lengths``; a row may have
-    no tokens. With ``frozen=True`` the computation is detached from the
-    graph, so no gradient ever reaches the parameters.
+    no tokens. With ``frozen=True``, as decoding runs it, the computation is
+    detached from the graph, so no gradient ever reaches the parameters,
+    and runs in float64 whatever dtype an optimizer holds them in.
     """
     tokens = np.asarray(ocr_tokens, dtype=np.int64)
     d_model = params.embed.shape[1]
@@ -75,13 +76,14 @@ def encode_visual(ocr_tokens, params, frozen=False, lengths=None):
         return empty_visual(d_model)
     if frozen:
         with tn.no_grad():
-            return _forward(tokens, params, lengths)
-    return _forward(tokens, params, lengths)
+            table = Tensor(params.embed.data.astype(np.float64, copy=False))
+            return _forward(tokens, params, lengths, table)
+    return _forward(tokens, params, lengths, params.embed)
 
 
-def _forward(tokens, params, lengths):
+def _forward(tokens, params, lengths, table):
     i_len = tokens.shape[-1]
-    x = embed(tokens, params.embed)
+    x = embed(tokens, table)
     # A row without tokens attends to its padding; the decoder discards it.
     x = attention(x, x, x, params.attn, key_mask(lengths, i_len), norm=params.ln_attn)
     x = tn.feed_forward(x, params.ln_ffn, params.ffn.w1, params.ffn.w2, 1.0)

@@ -172,11 +172,13 @@ def test_full_pipeline_and_reports(workspace, capsys):
     timings = [json.loads(l) for l in open(tmp_path / "hyp.metrics.jsonl")]
     assert [t["id"] for t in timings] == [r["id"] for r in records]
     for t, r in zip(timings, records):
-        assert set(t) == {"id", "ms", "tokens", "hit_max_len"}
+        assert set(t) == {"id", "ms", "tokens", "hit_max_len", "steps"}
         assert t["ms"] > 0.0 and t["tokens"] == len(r["tokens"])
         # decode's step limit: the encoder's length (subsampling by 2), plus EOS
         max_len = -(-len(utts[t["id"]].audio) // 2) + 1
         assert t["hit_max_len"] is (t["tokens"] == max_len)
+        # the search ran at least the hypothesis's steps, and never past the limit
+        assert t["tokens"] <= t["steps"] <= max_len
     report_path = str(tmp_path / "report.json")
     assert run_cli(["eval", "--ref", f"{data}/test.jsonl", "--hyp", hyp,
                     "--vocab", f"{data}/vocab.json", "--out", report_path]) == 0

@@ -1,5 +1,7 @@
 """Fusion decoder: dual cross-attention, causality, and beam search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -189,8 +191,6 @@ def test_beam_one_equals_greedy_rollout():
 
 def _brute_force_best(t_feats, i_feats, cfg, params, max_len):
     """Score every terminated sequence over the non-special vocabulary."""
-    import itertools
-
     content = [v for v in range(cfg.vocab_size) if v not in (cfg.bos_id, cfg.eos_id)]
 
     def seq_logprob(tokens):
@@ -237,7 +237,8 @@ def test_wider_beam_never_scores_worse():
 
 def _reference_beam_decode(t_feats, i_feats, cfg, params, beam, max_len):
     """The beam search one hypothesis at a time: a decoder call per live
-    hypothesis per step, candidates sorted by (-normalized, tokens)."""
+    hypothesis per step, candidates sorted by (-normalized, tokens). It
+    never stops early: it runs until no hypothesis is live or max_len."""
     eos, bos = cfg.eos_id, cfg.bos_id
 
     def norm(log_prob, n):
@@ -246,7 +247,7 @@ def _reference_beam_decode(t_feats, i_feats, cfg, params, beam, max_len):
     with tn.no_grad():
         live = [((), 0.0)]  # emitted tokens (excl. BOS), summed log-prob
         finished = []  # (tokens-without-eos, log_prob, n_emitted incl. eos)
-        for _ in range(max_len):
+        for step in range(1, max_len + 1):
             candidates = []
             for toks, lp in live:
                 logits = decoder.decoder_forward((bos,) + toks, t_feats, i_feats,
@@ -268,36 +269,46 @@ def _reference_beam_decode(t_feats, i_feats, cfg, params, beam, max_len):
             finished.append((toks, lp, len(toks)))
         finished.sort(key=lambda c: (-norm(c[1], c[2]), c[0]))
         toks, lp, n = finished[0]
-        return Hypothesis(tokens=list(toks), log_prob=lp, normalized=norm(lp, n))
+        return Hypothesis(tokens=list(toks), log_prob=lp, normalized=norm(lp, n),
+                          steps=step)
 
 
 def _assert_matches_reference(t_feats, i_feats, cfg, params, beam, max_len):
+    """The search's hypothesis, checked against the reference's; and whether
+    the search stopped before the reference did."""
     got = beam_decode(t_feats, i_feats, cfg, params, beam=beam, max_len=max_len)
     want = _reference_beam_decode(t_feats, i_feats, cfg, params, beam, max_len)
     assert got.tokens == want.tokens
     assert abs(got.log_prob - want.log_prob) <= 1e-12
     assert abs(got.normalized - want.normalized) <= 1e-12
-    return got
+    assert 1 <= got.steps <= want.steps
+    return got, got.steps < want.steps
 
 
 def test_batched_beam_matches_per_hypothesis_reference():
-    hit_max_len = ended = 0
-    for seed in range(4):
+    """Over untrained micro decoders, and the same with their output
+    projection scaled by 16: a confident decoder, as a trained one is, whose
+    searches can stop early (untrained ones never did in this grid)."""
+    hit_max_len = ended = stopped_early = 0
+    for seed, sharpness in itertools.product(range(4), (1.0, 16.0)):
         cfg, params = _decoder(6 + seed % 2, seed=seed)
+        params.out_w.data *= sharpness
         rng = np.random.default_rng(400 + seed)
         t_feats = _audio(3 + seed, 4, rng)
         for i_len in (0, 3):
             i_feats = _visual(i_len, 4, rng)
             for beam in (1, 2, 4, 64):
-                for max_len in (1, 3, 5):
-                    hyp = _assert_matches_reference(t_feats, i_feats, cfg, params,
-                                                    beam, max_len)
+                for max_len in (1, 3, 5, 8):
+                    hyp, early = _assert_matches_reference(t_feats, i_feats, cfg, params,
+                                                           beam, max_len)
                     assert hyp.hit_max_len is (len(hyp.tokens) == max_len)
                     if len(hyp.tokens) == max_len:
                         hit_max_len += 1
                     else:
                         ended += 1
+                    stopped_early += early
     assert hit_max_len and ended  # both ways a search can end are covered
+    assert stopped_early  # so the reference checks the early stop's result
 
 
 def test_tied_candidates_pick_the_lexicographically_smallest():
@@ -306,11 +317,11 @@ def test_tied_candidates_pick_the_lexicographically_smallest():
     t_feats, i_feats = _audio(4, 4), _visual(2, 4)
     # EOS, the largest id, never makes a beam of 3: the search runs to
     # max_len and keeps the smallest prefixes.
-    hyp = _assert_matches_reference(t_feats, i_feats, cfg, params, 3, 4)
+    hyp, _ = _assert_matches_reference(t_feats, i_feats, cfg, params, 3, 4)
     assert hyp.tokens == [0, 0, 0, 0]
     # A beam of every candidate takes EOS at step 1; the empty hypothesis
     # ties in normalized score with all others and is the smallest.
-    hyp = _assert_matches_reference(t_feats, i_feats, cfg, params, 5, 2)
+    hyp, _ = _assert_matches_reference(t_feats, i_feats, cfg, params, 5, 2)
     assert hyp.tokens == []
 
 
@@ -341,15 +352,19 @@ def _scripted_step(cfg, best, seen):
 
 
 def _same_search(monkeypatch, cfg, params, best, beam, max_len):
-    """Run both searches on a scripted decoder; they must visit the same
-    prefixes at every step and return the same hypothesis."""
+    """Run both searches on a scripted decoder. The search may stop before
+    the reference, which never stops early: it must visit the reference's
+    prefixes at every step it runs, run no step the reference does not, and
+    return the same hypothesis."""
     args = (_audio(3, 4), empty_visual(4), cfg, params, beam, max_len)
     searched, seen = {}, {}
     monkeypatch.setattr(decoder, "_decode_step", _scripted_step(cfg, best, searched))
     hyp = beam_decode(*args)
     monkeypatch.setattr(decoder, "decoder_forward", _scripted_decoder(cfg, best, seen))
     assert hyp == _reference_beam_decode(*args)
-    assert searched == seen
+    assert sorted(searched) == list(range(1, hyp.steps + 1))  # keyed by prefix length
+    assert set(searched) <= set(seen)
+    assert all(searched[n] == seen[n] for n in searched)
     return hyp, searched
 
 
@@ -359,17 +374,43 @@ def test_ties_across_parents_follow_token_order(monkeypatch):
     cfg, params = _decoder(5)  # content 0..2, BOS 3, EOS 4
     bos, eos = cfg.bos_id, cfg.eos_id
     # After step 1 the beam holds (2,) before (0,); at step 2, (0, 1) ties
-    # with (2, 0), (2, 1) and (2, 2) at -1000 and must win.
-    table = {(bos,): 2, (bos, 2): eos, (bos, 0): 1}
+    # with (2, 0), (2, 1) and (2, EOS) at -1000 and must win. No hypothesis
+    # has ended yet, so the search runs step 3 on the prefixes it chose.
+    table = {(bos,): 2, (bos, 2): 2, (bos, 0): 1}
     hyp, searched = _same_search(monkeypatch, cfg, params,
                                  lambda prefix: table.get(prefix, eos), 2, 3)
-    assert searched[3] == {(bos, 0, 1)}
-    assert hyp.tokens == [2]
+    assert searched[3] == {(bos, 0, 1), (bos, 2, 2)}
+    assert hyp.tokens == [2, 2]
     cfg, params = _decoder(6)
     for seed in range(30):
         def best(prefix):
             return int(np.random.default_rng([seed, *prefix]).integers(cfg.vocab_size))
         _same_search(monkeypatch, cfg, params, best, 2 + seed % 3, 4)
+
+
+def test_search_stops_once_no_live_hypothesis_can_win(monkeypatch):
+    """EOS takes log-prob 0 at step 1: the empty hypothesis scores 0, and a
+    live one, at -1000 after one step, can end no better than -1000 / max_len,
+    so the search runs one step only."""
+    cfg, params = _decoder(5)  # content 0..2, BOS 3, EOS 4
+    hyp, searched = _same_search(monkeypatch, cfg, params, lambda prefix: cfg.eos_id, 2, 4)
+    assert hyp.tokens == [] and hyp.steps == 1 and list(searched) == [1]
+
+
+def test_search_runs_on_while_a_live_bound_ties_the_best_finished(monkeypatch):
+    """The stop needs every live bound strictly below the best finished
+    score: a live hypothesis whose bound ties it could still tie it and win
+    on token order. Here BOS takes log-prob 0 after (BOS,) and (BOS, 1), so
+    every allowed token costs -1000 there. At step 2 (0, EOS) ends at
+    -1000 / 2 = -500, and (0, 0), live at -2000, is bounded by
+    -2000 / max_len = -500 too: the search runs step 3."""
+    cfg, params = _decoder(5)
+    bos, eos = cfg.bos_id, cfg.eos_id
+    table = {(bos,): bos, (bos, 1): bos, (bos, 0): eos}
+    hyp, searched = _same_search(monkeypatch, cfg, params,
+                                 lambda prefix: table.get(prefix, eos), 2, 4)
+    assert searched[2] == {(bos, 0), (bos, 1)} and searched[3] == {(bos, 0, 0)}
+    assert hyp.tokens == [0] and hyp.log_prob == -1000.0 and hyp.steps == 3
 
 
 def test_one_decoder_call_per_search_step(monkeypatch):

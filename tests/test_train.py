@@ -50,7 +50,8 @@ from mmasr.train import (
 )
 from mmasr.visual import VisualFeatures
 
-STAGE1_FIXTURE = pathlib.Path(__file__).resolve().parents[1] / "perfbench/fixtures/stage1.ckpt"
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "perfbench/fixtures"
+STAGE1_FIXTURE, STAGE2_FIXTURE = FIXTURES / "stage1.ckpt", FIXTURES / "stage2.ckpt"
 
 MICRO_CORPUS = CorpusConfig(v=6, n_groups=1, group_size=2, n_background=3,
                             d_in=4, duration_min=2, duration_max=3,
@@ -625,6 +626,29 @@ def test_float32_training_matches_its_float64_twin(stage):
         assert abs(got - want) <= 1e-5 * abs(want)
     for name, want in wide_grads.items():
         assert np.max(np.abs(narrow_grads[name] - want)) <= 1e-5 * np.max(np.abs(want)), name
+
+
+def test_decoding_does_not_depend_on_whether_an_adam_holds_the_parameters(tmp_path):
+    """A stage-2 model whose parameters an Adam holds in float32 decodes in
+    float64, as run_stage's validation and criterion 6 decode it: its beam-4
+    hypotheses equal bitwise those of the model saved and loaded again
+    without the optimizer, which holds float64 arrays."""
+    held, _, _, _ = load_checkpoint(str(STAGE2_FIXTURE))
+    cfg = _stage_config("fusion")
+    Adam(held.named_parameters(), trainable_names(held, cfg), cfg.peak_lr, cfg.warmup)
+    assert param_dtypes(held, "visual") == {np.dtype(np.float32)}
+    path = tmp_path / "stage2.ckpt"
+    save_checkpoint(path, held)
+    loaded, _, _, _ = load_checkpoint(path)
+    assert param_dtypes(loaded) == {np.dtype(np.float64)}
+    corpus = CorpusConfig(seed=2024)
+    vocab = build_vocab(corpus)
+    for i in range(40):
+        utt = gen_utterance(corpus, vocab, "test", i)
+        got, want = (decode_utterance(m, utt, True, beam=4) for m in (held, loaded))
+        assert got.tokens == want.tokens
+        assert got.log_prob.hex() == want.log_prob.hex()
+        assert got.normalized.hex() == want.normalized.hex()
 
 
 def test_padded_positions_get_exactly_zero_gradient():
