@@ -25,6 +25,7 @@ from .data import (
     read_text,
     read_vocab,
     write_corpus,
+    write_file,
 )
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
@@ -35,7 +36,6 @@ from .errors import (
     CorpusFormatError,
     FeasibilityError,
     NumericError,
-    OracleSizeError,
     RecipeError,
     ShapeError,
     VocabError,
@@ -57,8 +57,7 @@ USAGE_ERROR, DATA_ERROR, RUNTIME_ERROR = 1, 2, 3
 # OSError: a path that is missing, a directory, or through a regular file.
 _DATA_ERRORS = (ConfigError, CorpusFormatError, VocabError, RecipeError,
                 CheckpointError, OSError, UnicodeDecodeError)
-_RUNTIME_ERRORS = (NumericError, ShapeError, ContractError, FeasibilityError,
-                   OracleSizeError)
+_RUNTIME_ERRORS = (NumericError, ShapeError, ContractError, FeasibilityError)
 
 
 @dataclass
@@ -152,9 +151,6 @@ def cmd_train(args):
         _check_corpus(model, vocab, args.stage1_ckpt)
         model.reinit_fusion(cfg.seed)
     ckpt, log = (os.path.join(args.out, f"stage{args.stage}{ext}") for ext in (".ckpt", ".log"))
-    for path in (log, metrics_path(log)):
-        if os.path.exists(path):
-            os.remove(path)
     opt, rng, _ = run_stage(model, splits["train"], cfg, log_path=log,
                             valid_utts=splits.get("valid"))
     save_checkpoint(ckpt, model, opt, cfg.max_steps, rng)
@@ -179,22 +175,10 @@ def cmd_decode(args):
                         "tokens": len(hyp.tokens), "hit_max_len": hyp.hit_max_len,
                         "steps": hyp.steps})
         hyps.append({"id": utt.uid, "tokens": hyp.tokens, "log_prob": hyp.log_prob})
-    _write_json_lines(args.out, hyps)
-    _write_json_lines(metrics_path(args.out), timings)
+    for path, records in ((args.out, hyps), (metrics_path(args.out), timings)):
+        write_file(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     print(f"wrote hypotheses to {args.out}")
     return 0
-
-
-def _write_json_lines(path, records):
-    """Write JSON lines to ``path`` by way of a file beside it, atomically."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def _hypothesis_tokens(rec):
@@ -233,9 +217,7 @@ def cmd_eval(args):
         "breakdown": breakdown.as_dict(),
         "utterances": per_utt,
     }
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(report, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_file(args.out, [json.dumps(report, sort_keys=True, indent=1), "\n"])
     o = report["overall"]
     print(f"S={o['S']} D={o['D']} I={o['I']} N={o['N']} WER={o['wer']:.4f}")
     return 0

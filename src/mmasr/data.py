@@ -348,12 +348,24 @@ def read_text(path, error=CorpusFormatError):
         raise error(f"{path} is not UTF-8 text: {e}") from e
 
 
+def write_file(path, chunks, mode="w"):
+    """Create or replace ``path`` with the strings (or, in mode "wb", the
+    bytes) of ``chunks``, in order. They are written to a file beside it,
+    which is moved over ``path`` only once complete: ``path`` never holds
+    a partial file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_split(path, utterances):
-    with open(path, "w", encoding="utf-8") as f:
-        for utt in utterances:
-            f.write(json.dumps(_utterance_record(utt), sort_keys=True,
-                               separators=(",", ":")))
-            f.write("\n")
+    write_file(path, (json.dumps(_utterance_record(utt), sort_keys=True, separators=(",", ":"))
+                      + "\n" for utt in utterances))
 
 
 def read_records(path, parse):
@@ -394,8 +406,8 @@ def write_corpus(out_dir, vocab, splits, cfg=None):
     meta = {"format_version": 1, "vocab": vocab.to_json(), "d_in": vocab.d_in}
     if cfg is not None:
         meta["config"] = asdict(cfg)
-    with open(os.path.join(out_dir, "vocab.json"), "w", encoding="utf-8") as f:
-        json.dump(meta, f, sort_keys=True, separators=(",", ":"))
+    write_file(os.path.join(out_dir, "vocab.json"),
+               [json.dumps(meta, sort_keys=True, separators=(",", ":"))])
     for split, utts in splits.items():
         write_split(os.path.join(out_dir, f"{split}.jsonl"), utts)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import ctc as ctc_mod
 from . import tensor as tn
+from .data import write_file
 from .decoder import beam_decode, decoder_forward
 from .encoder import AudioFeatures, ctc_head, encode_audio, subsampled_length
 from .errors import (
@@ -84,22 +86,18 @@ class TrainConfig:
             raise ConfigError(f"freeze_encoder must be true or false, got {self.freeze_encoder!r}")
 
 
-# Adam updates its flat arrays in slices of this many elements. The
-# temporaries of one slice stay in cache; whole-array passes over a ~1 MB
-# arena are bound by memory bandwidth and were no faster than one small
-# update per parameter.
-ADAM_CHUNK = 16384
-
-
 class Adam:
     """Adam with Noam-style inverse-sqrt warmup.
 
     The trainable parameters live in one contiguous float32 arena, in
     ``trainable`` order: each parameter's ``data`` is a float32 view of it,
     so the model trains in float32. The moments are flat float32 arrays,
-    and ``m`` and ``v`` map each name to its view. An update is computed in
-    float64 from float64 gradients and rounded to float32 as it is stored,
-    so checkpoints round-trip bitwise.
+    and ``m`` and ``v`` map each name to its view. A step updates the
+    moments and the arena in place, in float32, with the bias corrections
+    folded into one step size (Kingma & Ba 2015, "Adam", section 2's
+    efficient form; float32 master weights as in Micikevicius et al. 2018,
+    "Mixed Precision Training"). The gradients' sum of squares is taken in
+    float64, for ``grad_norm`` and the non-finite check.
     """
 
     def __init__(self, params, trainable, peak_lr, warmup,
@@ -121,8 +119,8 @@ class Adam:
         self.arena = np.empty(size, dtype=np.float32)
         self._m = np.zeros(size, dtype=np.float32)
         self._v = np.zeros(size, dtype=np.float32)
-        self._grads = np.empty(size)
-        self._temps = np.empty((4, min(size, ADAM_CHUNK)))
+        self._grads = np.empty(size, dtype=np.float32)
+        self._tmp = np.empty(size, dtype=np.float32)
         self.m, self.v = {}, {}
         self._slots = []  # (name, tensor, its arena view, its gradient view)
         start = 0
@@ -154,53 +152,36 @@ class Adam:
             if p.data is not view:
                 view[...] = p.data
                 p.data = view
-            if p.grad is None:
-                grad.fill(0.0)
-            else:
-                grad[...] = p.grad
-        squares = float(np.vdot(self._grads, self._grads))
+            grad[...] = 0.0 if p.grad is None else p.grad
+        # In float64: a float32 gradient of 1e20 squares to a finite sum.
+        squares = float(np.einsum("i,i->", self._grads, self._grads, dtype=np.float64))
         if not math.isfinite(squares):
-            for name, _, _, grad in self._slots:
-                sq = float(np.vdot(grad, grad))
-                if not math.isfinite(sq):
-                    raise NumericError(
-                        f"gradient of {name} is not finite (sum of squares {sq})")
+            name = next(n for n, _, _, grad in self._slots if not np.isfinite(grad).all())
+            raise NumericError(f"gradient of {name} is not finite")
         self.grad_norm = math.sqrt(squares)
         self.t += 1
         lr = self.lr(self.t)
-        b1, b2, eps = self.beta1, self.beta2, self.eps
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
-        # Per slice, in place, the operations of
-        #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-        #   p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        # in this order, in float64: p, m and v are copied into float64
-        # temporaries, so every pass is same-dtype, and each is rounded to
-        # float32 as it is stored.
-        for start in range(0, self.arena.size, ADAM_CHUNK):
-            span = slice(start, start + ADAM_CHUNK)
-            p, g, m32, v32 = self.arena[span], self._grads[span], self._m[span], self._v[span]
-            m, v, x, y = self._temps[:, : p.size]
-            np.copyto(m, m32)
-            np.multiply(m, b1, out=m)
-            np.multiply(g, 1.0 - b1, out=x)
-            np.add(m, x, out=m)
-            np.copyto(v, v32)
-            np.multiply(v, b2, out=v)
-            np.multiply(g, 1.0 - b2, out=x)
-            np.multiply(x, g, out=x)
-            np.add(v, x, out=v)
-            np.divide(m, bc1, out=x)
-            np.multiply(x, lr, out=x)
-            np.divide(v, bc2, out=y)
-            np.sqrt(y, out=y)
-            np.add(y, eps, out=y)
-            np.divide(x, y, out=x)
-            np.copyto(y, p)
-            np.subtract(y, x, out=y)
-            np.copyto(p, y, casting="same_kind")
-            np.copyto(m32, m, casting="same_kind")
-            np.copyto(v32, v, casting="same_kind")
+        b1, b2 = self.beta1, self.beta2
+        root_bc2 = math.sqrt(1.0 - b2**self.t)
+        step_size = lr * root_bc2 / (1.0 - b1**self.t)
+        # In place over the whole arena, in float32, in this order:
+        #   m = b1 * m + (1 - b1) * g;  v = b2 * v + ((1 - b2) * g) * g
+        #   p = p - (m / (sqrt(v) + eps * root_bc2)) * step_size
+        # (1 - b2) * g is taken first, so a finite g of up to ~1e20 gives a
+        # finite v.
+        g, m, v, x = self._grads, self._m, self._v, self._tmp
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=x)
+        m += x
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=x)
+        x *= g
+        v += x
+        np.sqrt(v, out=x)
+        x += self.eps * root_bc2
+        np.divide(m, x, out=x)
+        x *= step_size
+        self.arena -= x
         return lr
 
     def zero_grad(self):
@@ -412,7 +393,8 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
     With ``log_path``, each step appends its losses and learning rate to
     that log, which is deterministic, and its timing to ``metrics_path(
     log_path)``: wall time, skipped utterances, utterances run through the
-    speech encoder, gradient norm and input frames per second."""
+    speech encoder, gradient norm and input frames per second. A run from
+    step 0 starts both files afresh; a resumed run appends to them."""
     if opt is None:
         opt = Adam(model.named_parameters(), trainable_names(model, cfg),
                    cfg.peak_lr, cfg.warmup, cfg.adam_beta1, cfg.adam_beta2,
@@ -424,8 +406,9 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
     with contextlib.ExitStack() as files:
         log_f = metrics_f = None
         if log_path:
-            log_f = files.enter_context(open(log_path, "a", encoding="utf-8"))
-            metrics_f = files.enter_context(open(metrics_path(log_path), "a", encoding="utf-8"))
+            mode = "a" if start_step else "w"
+            log_f = files.enter_context(open(log_path, mode, encoding="utf-8"))
+            metrics_f = files.enter_context(open(metrics_path(log_path), mode, encoding="utf-8"))
         for step in range(start_step + 1, cfg.max_steps + 1):
             idx = rng.integers(0, n, cfg.batch_size)
             flags = None
@@ -492,10 +475,6 @@ def run_recipe(model_cfg, splits, cfg_stage1, cfg_stage2, out_dir,
 # payload arrays are little-endian float32, row-major.
 
 
-def _rng_state(rng):
-    return rng.bit_generator.state if rng is not None else None
-
-
 def save_checkpoint(path, model, opt=None, step=0, rng=None):
     params = model.named_parameters()
     names = sorted(params)
@@ -503,7 +482,7 @@ def save_checkpoint(path, model, opt=None, step=0, rng=None):
         "version": CKPT_VERSION,
         "model_config": model.cfg.to_json(),
         "step": step,
-        "rng_state": _rng_state(rng),
+        "rng_state": None if rng is None else rng.bit_generator.state,
         "params": [{"name": n, "shape": list(params[n].shape)} for n in names],
         "optimizer": None,
     }
@@ -515,12 +494,9 @@ def save_checkpoint(path, model, opt=None, step=0, rng=None):
         for n in opt.trainable:
             blocks.append(opt.v[n])
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", len(head)))
-        f.write(head)
-        for arr in blocks:
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    write_file(path, itertools.chain(
+        (CKPT_MAGIC, struct.pack("<I", len(head)), head),
+        (np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in blocks)), "wb")
 
 
 def _read_block(f, name, shape):

@@ -1,19 +1,20 @@
 """Optimizer, two-stage recipe, determinism and checkpointing."""
 
 import dataclasses
+import errno
 import json
 import math
 import pathlib
 import random
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mmasr import ctc as ctc_module
 from mmasr import tensor as tn
-from mmasr import train as train_module
 from mmasr.ctc import check_feasible, ctc_loss
 from mmasr.data import CorpusConfig, build_vocab, gen_corpus, gen_utterance
 from mmasr.decoder import decoder_forward
@@ -402,6 +403,30 @@ def test_truncated_checkpoint_names_parameter(tmp_path):
         load_checkpoint(str(header_cut))
 
 
+def test_a_failed_checkpoint_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    """A save that fails after the header, here on a full disk, leaves the
+    earlier checkpoint's bytes and no temporary file."""
+    model = micro_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model)
+    good = path.read_bytes()
+    model.named_parameters()["decoder.out_w"].data += 1.0
+    blocks = []
+
+    def disk_fills(arr, dtype):
+        blocks.append(arr)
+        if len(blocks) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return np.asarray(arr, dtype=dtype)
+
+    monkeypatch.setattr(np, "ascontiguousarray", disk_fills)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(str(path), model)
+    monkeypatch.undo()
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
 def test_fusion_reinit_preserves_audio_behavior():
     _, splits = gen_corpus(MICRO_CORPUS)
     model = micro_model(seed=6)
@@ -474,6 +499,20 @@ def test_run_recipe_writes_checkpoints_and_logs(tmp_path):
     # Each stage's optimizer holds what it trains in float32.
     assert param_dtypes(m1, "encoder.") == param_dtypes(m2, "visual.") == {np.dtype(np.float32)}
     assert param_dtypes(m1, "visual.") == param_dtypes(m2, "encoder.") == {np.dtype(np.float64)}
+
+
+def test_run_recipe_into_a_used_directory_starts_its_logs_afresh(tmp_path):
+    _, splits = gen_corpus(MICRO_CORPUS)
+    model_cfg = micro_model().cfg
+    c1 = TrainConfig(stage="audio_only", max_steps=3, batch_size=2)
+    c2 = TrainConfig(stage="fusion", freeze_encoder=True, max_steps=3, batch_size=2, seed=1)
+    run_recipe(model_cfg, splits, c1, c2, str(tmp_path / "once"))
+    for _ in range(2):
+        run_recipe(model_cfg, splits, c1, c2, str(tmp_path / "twice"))
+    for stage in ("stage1", "stage2"):
+        once, twice = (str(tmp_path / run / f"{stage}.log") for run in ("once", "twice"))
+        assert open(twice, "rb").read() == open(once, "rb").read()
+        assert len(open(metrics_path(twice)).readlines()) == 3
 
 
 def test_validation_records_report_edit_counts(tmp_path):
@@ -727,17 +766,36 @@ def test_adam_refuses_a_non_finite_gradient():
             {n: v.tobytes() for n, v in opt.v.items()}, opt.t) == before
 
 
+def test_adam_takes_a_huge_finite_gradient():
+    """A float32 gradient of 1e20 squares to 1e40, beyond float32 but not
+    float64: the step reports a finite norm and updates the parameters."""
+    model = micro_model(seed=2)
+    cfg = TrainConfig(stage="audio_only")
+    opt = Adam(model.named_parameters(), trainable_names(model, cfg), cfg.peak_lr, cfg.warmup)
+    params = model.named_parameters()
+    for name in opt.trainable:
+        params[name].grad = np.ones_like(params[name].data)
+    params["decoder.out_w"].grad[1, 2] = 1e20
+    before = params["decoder.out_w"].data.copy()
+    opt.step()
+    assert math.isfinite(opt.grad_norm) and opt.grad_norm >= 1e20
+    for name in opt.trainable:
+        assert np.isfinite(opt.m[name]).all() and np.isfinite(opt.v[name]).all(), name
+        assert np.isfinite(params[name].data).all(), name
+    assert params["decoder.out_w"].data[1, 2] < before[1, 2]
+
+
 class ReferenceAdam:
-    """The per-parameter Adam update that the flat arena replaced, kept as
-    an oracle: float64 copies of an Adam's parameters and moments, updated
-    one array at a time from float64 copies of the gradients."""
+    """``Adam.step`` stated one parameter at a time, as an oracle: float32
+    copies of an Adam's parameters and moments, updated by the same float32
+    operations in the same order from float32 copies of the gradients."""
 
     def __init__(self, opt):
         self.peak_lr, self.warmup = opt.peak_lr, opt.warmup
         self.beta1, self.beta2, self.eps, self.t = opt.beta1, opt.beta2, opt.eps, opt.t
-        self.p = {n: np.asarray(opt.params[n].data, dtype=np.float64) for n in opt.trainable}
-        self.m = {n: np.asarray(opt.m[n], dtype=np.float64) for n in opt.trainable}
-        self.v = {n: np.asarray(opt.v[n], dtype=np.float64) for n in opt.trainable}
+        self.p = {n: np.array(opt.params[n].data, dtype=np.float32) for n in opt.trainable}
+        self.m = {n: np.array(opt.m[n]) for n in opt.trainable}
+        self.v = {n: np.array(opt.v[n]) for n in opt.trainable}
 
     def lr(self, t):
         if self.warmup > 0:
@@ -745,28 +803,75 @@ class ReferenceAdam:
         return self.peak_lr * min(1.0, 1.0 / math.sqrt(t))
 
     def step(self, grads):
-        grads = {n: None if g is None else g.astype(np.float64) for n, g in grads.items()}
-        self.grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()
-                                       if g is not None))
+        grads = _float32_grads(grads, self.p)
+        self.grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in
+                                       (g.astype(np.float64) for g in grads.values())))
         self.t += 1
         lr = self.lr(self.t)
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        b1, b2 = self.beta1, self.beta2
+        root_bc2 = math.sqrt(1.0 - b2**self.t)
+        step_size = lr * root_bc2 / (1.0 - b1**self.t)
         for name, g in grads.items():
-            p = self.p[name]
-            g = g if g is not None else np.zeros_like(p)
-            m = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            p = p - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            self.p[name] = p.astype("<f4").astype(np.float64)
-            self.m[name] = m.astype("<f4").astype(np.float64)
-            self.v[name] = v.astype("<f4").astype(np.float64)
+            m = b1 * self.m[name] + (1.0 - b1) * g
+            v = b2 * self.v[name] + ((1.0 - b2) * g) * g
+            self.p[name] = self.p[name] - (m / (np.sqrt(v) + self.eps * root_bc2)) * step_size
+            self.m[name], self.v[name] = m, v
         return lr
+
+
+def _float32_grads(grads, like):
+    """Each gradient as Adam gathers it: in float32, zero where it is None."""
+    return {n: np.zeros_like(like[n]) if g is None else np.asarray(g, dtype=np.float32)
+            for n, g in grads.items()}
+
+
+U32 = 2.0**-24  # float32's unit roundoff
+FLOOR32 = 2.0**-125  # float32's smallest subnormal over U32
+
+
+def _assert_within_float32_rounding_of_textbook_adam(opt, before, grads):
+    """The update before float32 Adam, kept as a second oracle: the
+    textbook step in float64, from the float32 state ``before`` the step
+    and the float32 gradients. Adam's float32 step must stay within the
+    rounding its float32 operations allow, counted to first order with u
+    the unit roundoff:
+    - m = b1 m0 + (1 - b1) g: b1, 1 - b1 and each product round once, the
+      sum once: |dm| <= 3u M, M = b1 |m0| + (1 - b1) |g|;
+    - v = b2 v0 + ((1 - b2) g) g: 2 roundings on the first term, 3 on the
+      second, 1 on the sum, and both terms are >= 0: |dv| <= 4u v;
+    - the step s m / D, D = sqrt(v) + eps', so |step| <= s M / D: dm
+      contributes 3u s M / D. sqrt(v) is off by 3u (2u from dv, 1 of its
+      own) and eps' by u; both are > 0, so with the sum D is off by 4u.
+      With the division, s and the product, 7u |step|: in all 10u s M / D;
+    - p0 - step rounds once: u |p|.
+    Below 2^-125, the smallest subnormal over u, float32 rounds absolutely,
+    not relatively: every magnitude in the bounds is taken at least that
+    large. The factor 1 + 1e-6 covers the second-order terms and the
+    float64 roundings of the oracle, among them those of folding the bias
+    corrections into s and eps'."""
+    t, b1, b2 = opt.t, opt.beta1, opt.beta2
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    lr = opt.lr(t)
+    s, eps_ = lr * math.sqrt(bc2) / bc1, opt.eps * math.sqrt(bc2)
+    for name, g in _float32_grads(grads, opt.m).items():
+        p0, m0, v0, g = (np.asarray(a, dtype=np.float64) for a in (*before[name], g))
+        m = b1 * m0 + (1.0 - b1) * g
+        v = b2 * v0 + (1.0 - b2) * g * g
+        p = p0 - lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        big_m = b1 * np.abs(m0) + (1.0 - b1) * np.abs(g) + FLOOR32
+        for got, want, tol in (
+                (opt.m[name], m, 3 * U32 * big_m),
+                (opt.v[name], v, 4 * U32 * (v + FLOOR32)),
+                (opt.params[name].data, p,
+                 U32 * (np.abs(p) + FLOOR32) + 10 * U32 * s * big_m / (np.sqrt(v) + eps_))):
+            assert (np.abs(np.asarray(got, dtype=np.float64) - want)
+                    <= tol * (1 + 1e-6)).all(), name
 
 
 def _step_against_reference(model, opt, ref, cfg, batch, scalar=None):
     """One optimizer step of ``opt`` and of ``ref`` on the same gradients;
-    asserts that both reach bitwise the same state."""
+    asserts that both reach bitwise the same state, and that it is within
+    float32 rounding of the float64 textbook step."""
     opt.zero_grad()
     l_ctc, l_att, _ = utterance_losses(model, batch, [cfg.stage == "fusion"] * len(batch), cfg)
     total = tn.add(tn.scale(l_ctc, cfg.lambda_ctc), tn.scale(l_att, 1.0 - cfg.lambda_ctc))
@@ -775,15 +880,17 @@ def _step_against_reference(model, opt, ref, cfg, batch, scalar=None):
         scalar.grad = np.array(total.item() - 1.0)
     grads = {n: None if opt.params[n].grad is None else opt.params[n].grad.copy()
              for n in opt.trainable}
+    before = {n: (ref.p[n], ref.m[n], ref.v[n]) for n in opt.trainable}
     assert opt.step() == ref.step(grads)
     assert opt.t == ref.t
     assert abs(opt.grad_norm - ref.grad_norm) <= 1e-12 * ref.grad_norm
     for n in opt.trainable:
         p = opt.params[n].data
         assert np.shares_memory(p, opt.arena) and p.dtype == np.float32, n
-        assert p.tobytes() == ref.p[n].astype("<f4").tobytes(), n
-        assert np.asarray(opt.m[n], dtype=np.float64).tobytes() == ref.m[n].tobytes(), n
-        assert np.asarray(opt.v[n], dtype=np.float64).tobytes() == ref.v[n].tobytes(), n
+        assert p.tobytes() == ref.p[n].tobytes(), n
+        assert opt.m[n].tobytes() == ref.m[n].tobytes(), n
+        assert opt.v[n].tobytes() == ref.v[n].tobytes(), n
+    _assert_within_float32_rounding_of_textbook_adam(opt, before, grads)
 
 
 def _stage_config(stage):
@@ -791,13 +898,9 @@ def _stage_config(stage):
 
 
 @pytest.mark.parametrize("stage", ["audio_only", "fusion"])
-@pytest.mark.parametrize("chunk", [train_module.ADAM_CHUNK, 37])
-def test_arena_adam_matches_the_per_parameter_update(stage, chunk, monkeypatch):
+def test_arena_adam_matches_the_per_parameter_update(stage):
     """With a scalar parameter, a trainable parameter that never gets a
-    gradient, and parameters whose data are rebound between steps. The
-    micro model fits one slice of ADAM_CHUNK; slices of 37 elements also
-    cut through parameters and leave a partial last slice."""
-    monkeypatch.setattr(train_module, "ADAM_CHUNK", chunk)
+    gradient, and parameters whose data are rebound between steps."""
     _, splits = gen_corpus(MICRO_CORPUS)
     model = micro_model(seed=3)
     cfg = _stage_config(stage)
@@ -812,8 +915,8 @@ def test_arena_adam_matches_the_per_parameter_update(stage, chunk, monkeypatch):
             out_w = params["decoder.out_w"]
             out_w.data = out_w.data * 0.5
             scalar.data = np.array(-0.5)
-            ref.p["decoder.out_w"] = out_w.data.astype(np.float64)
-            ref.p["scalar"] = scalar.data.copy()
+            ref.p["decoder.out_w"] = out_w.data.copy()
+            ref.p["scalar"] = scalar.data.astype(np.float32)
         batch = [splits["train"][int(i)] for i in rng.integers(0, 16, 4)]
         _step_against_reference(model, opt, ref, cfg, batch, scalar)
     assert unused.grad is None
@@ -841,6 +944,23 @@ def test_adam_arena_edge_cases():
     shared = Tensor(np.zeros(3))
     with pytest.raises(ContractError, match="share"):
         Adam({"a": shared, "b": shared}, ["a", "b"], peak_lr=1.0, warmup=10)
+
+
+def test_an_adam_step_allocates_less_than_a_float32_arena():
+    """The update runs in place over buffers the optimizer owns; summing the
+    squares in float64 allocates no float64 copy of the gradients."""
+    params = {"a": Tensor(np.zeros((300, 400))), "b": Tensor(np.zeros(50_000))}
+    opt = Adam(params, ["a", "b"], peak_lr=1.0, warmup=10)
+    for p in params.values():
+        p.grad = np.full(p.data.shape, 0.5, dtype=np.float32)
+    opt.step()
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * opt.arena.size
 
 
 def test_frozen_encoder_outputs_take_no_gradient():
