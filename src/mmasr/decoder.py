@@ -256,14 +256,14 @@ def _decode_step(prefixes, position, cache, memory, cfg, params):
     extended = []
     for block, (keys, values), branches in zip(params.blocks, cache, memory):
         p = block.self_attn
-        normed = tn._normalize(x, block.ln_self)[0]
+        normed = tn.layer_norm(x, block.ln_self).data
         q, k, v = (normed @ w.data for w in (p.w_q, p.w_k, p.w_v))
         keys = np.concatenate([keys, k.reshape(n, h, -1, 1)], axis=-1)
         values = np.concatenate([values, v.reshape(n, h, 1, -1)], axis=-2)
         extended.append((keys, values))
         x = x + tn._attend(q.reshape(n, h, 1, -1), keys, values)[1].reshape(n, d) @ p.w_o.data
-        q = tn._normalize(x, block.ln_cross)[0]
+        q = tn.layer_norm(x, block.ln_cross).data
         x = x + sum(tn._attend((q @ b.w_q.data).reshape(n, h, 1, -1), b_keys, b_values)[1]
                     .reshape(n, d) @ b.w_o.data for b_keys, b_values, b in branches)
         x = tn.feed_forward(Tensor(x), block.ln_ffn, block.ffn.w1, block.ffn.w2, 1.0).data
-    return tn._normalize(x, params.ln_out)[0] @ params.out_w.data, extended
+    return tn.layer_norm(x, params.ln_out).data @ params.out_w.data, extended

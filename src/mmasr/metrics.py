@@ -7,7 +7,7 @@ decomposition is not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -22,12 +22,7 @@ class EditCounts:
     ref_len: int
 
     def __add__(self, other):
-        return EditCounts(
-            self.substitutions + other.substitutions,
-            self.deletions + other.deletions,
-            self.insertions + other.insertions,
-            self.ref_len + other.ref_len,
-        )
+        return EditCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 @dataclass
@@ -104,12 +99,7 @@ class Breakdown:
     other_insertions: int = 0
 
     def as_dict(self):
-        return {
-            "homophone_substitutions": self.homophone_substitutions,
-            "other_substitutions": self.other_substitutions,
-            "distractor_insertions": self.distractor_insertions,
-            "other_insertions": self.other_insertions,
-        }
+        return asdict(self)
 
 
 def error_breakdown(paths, vocab):

@@ -53,13 +53,7 @@ class ModelConfig:
             )
 
     def to_json(self):
-        return {
-            "d_in": self.d_in,
-            "v_content": self.v_content,
-            "n_background": self.n_background,
-            "encoder": dataclasses.asdict(self.encoder),
-            "decoder": dataclasses.asdict(self.decoder),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, d):
@@ -68,13 +62,9 @@ class ModelConfig:
             missing = {f.name for f in dataclasses.fields(sub)} - set(d[key])
             if missing:
                 raise KeyError(f"{key} config lacks {sorted(missing)}")
-        return cls(
-            d_in=d["d_in"],
-            v_content=d["v_content"],
-            n_background=d["n_background"],
-            encoder=EncoderConfig(**d["encoder"]),
-            decoder=DecoderConfig(**d["decoder"]),
-        )
+        fields = {f.name: d[f.name] for f in dataclasses.fields(cls)}
+        return cls(**{**fields, "encoder": EncoderConfig(**d["encoder"]),
+                      "decoder": DecoderConfig(**d["decoder"])})
 
 
 def make_decoder_config(v_content, n_background, **arch):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ctc as ctc_mod
 from . import tensor as tn
-from .data import write_file
+from .data import read_text, write_file
 from .decoder import beam_decode, decoder_forward
 from .encoder import AudioFeatures, ctc_head, encode_audio, subsampled_length
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
     CheckpointVersionError,
     ConfigError,
     ContractError,
+    CorpusFormatError,
     FeasibilityError,
     NumericError,
     RecipeError,
@@ -346,29 +347,27 @@ def train_step(model, batch, cfg, opt, use_visual_flags=None):
             "encoded": encoded, "grad_norm": opt.grad_norm}
 
 
-def decode_utterance(model, utt, use_visual, beam=4, max_len=None):
+def decode_utterance(model, utt, use_visual, beam=4):
     """Beam-decode one utterance; the reference is never read.
 
-    By default a hypothesis ends after ``t_len + 1`` steps: CTC
-    feasibility bounds a transcript by the encoder length, plus one EOS.
+    A hypothesis ends after at most ``t_len + 1`` steps: CTC feasibility
+    bounds a transcript by the encoder length, plus one EOS.
     """
     with tn.no_grad():
         feats = encode_audio(np.asarray(utt.audio, dtype=np.float64),
                              model.cfg.encoder, model.encoder)
-        if max_len is None:
-            max_len = feats.t_len + 1
         vis = encode_visual(utt.ocr if use_visual else [], model.visual, frozen=True)
         return beam_decode(feats, vis, model.cfg.decoder, model.decoder, beam=beam,
-                           max_len=max_len)
+                           max_len=feats.t_len + 1)
 
 
-def validation_counts(model, utts, use_visual, beam=1, limit=0):
-    """Edit counts summed over the first ``limit`` utterances (0: all)."""
+def validation_counts(model, utts, use_visual, limit=0):
+    """Greedy edit counts summed over the first ``limit`` utterances (0: all)."""
     if limit:
         utts = utts[:limit]
     total = EditCounts(0, 0, 0, 0)
     for utt in utts:
-        hyp = decode_utterance(model, utt, use_visual, beam=beam)
+        hyp = decode_utterance(model, utt, use_visual, beam=1)
         counts, _ = align_edit(utt.ref, hyp.tokens)
         total = total + counts
     return total
@@ -385,6 +384,25 @@ def _json_number(x):
     return x if math.isfinite(x) else None
 
 
+def _open_log(path, start_step):
+    """``path``, rewritten to hold only its records of steps up to
+    ``start_step`` (none from step 0), open for appending. A line that is
+    not a JSON object with an integer step raises CorpusFormatError."""
+    kept = []
+    lines = read_text(path).splitlines() if start_step and os.path.exists(path) else []
+    for i, line in enumerate(lines, start=1):
+        try:
+            step = json.loads(line)["step"]
+        except (ValueError, TypeError, KeyError):
+            step = None
+        if type(step) is not int:
+            raise CorpusFormatError(f"{path}, line {i}: not a JSON object with an integer step")
+        if step <= start_step:
+            kept.append(line + "\n")
+    write_file(path, kept)
+    return open(path, "a", encoding="utf-8")
+
+
 def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
               opt=None, rng=None, start_step=0):
     """Train for cfg.max_steps steps; batches are sampled i.i.d. so resuming
@@ -393,8 +411,9 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
     With ``log_path``, each step appends its losses and learning rate to
     that log, which is deterministic, and its timing to ``metrics_path(
     log_path)``: wall time, skipped utterances, utterances run through the
-    speech encoder, gradient norm and input frames per second. A run from
-    step 0 starts both files afresh; a resumed run appends to them."""
+    speech encoder, gradient norm and input frames per second. Both files
+    first keep only their records of steps up to ``start_step``, so a run
+    from step 0 starts them afresh and a resumed run logs each step once."""
     if opt is None:
         opt = Adam(model.named_parameters(), trainable_names(model, cfg),
                    cfg.peak_lr, cfg.warmup, cfg.adam_beta1, cfg.adam_beta2,
@@ -406,9 +425,8 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
     with contextlib.ExitStack() as files:
         log_f = metrics_f = None
         if log_path:
-            mode = "a" if start_step else "w"
-            log_f = files.enter_context(open(log_path, mode, encoding="utf-8"))
-            metrics_f = files.enter_context(open(metrics_path(log_path), mode, encoding="utf-8"))
+            log_f, metrics_f = (files.enter_context(_open_log(path, start_step))
+                                for path in (log_path, metrics_path(log_path)))
         for step in range(start_step + 1, cfg.max_steps + 1):
             idx = rng.integers(0, n, cfg.batch_size)
             flags = None
@@ -470,9 +488,9 @@ def run_recipe(model_cfg, splits, cfg_stage1, cfg_stage2, out_dir,
 #
 # magic (8 bytes) | header_len (uint32 LE) | header JSON (utf-8) | payload
 #
-# The header lists every parameter (name, shape) in payload order, then the
-# optimizer moment arrays (m then v) for each trainable parameter. All
-# payload arrays are little-endian float32, row-major.
+# The header lists every parameter (name, shape) in payload order; with an
+# optimizer, the blocks m:<name>, then v:<name>, of each trainable name in
+# its order follow. All payload arrays are little-endian float32, row-major.
 
 
 def save_checkpoint(path, model, opt=None, step=0, rng=None):
@@ -489,24 +507,11 @@ def save_checkpoint(path, model, opt=None, step=0, rng=None):
     blocks = [params[n].data for n in names]
     if opt is not None:
         header["optimizer"] = {k: getattr(opt, k) for k in CKPT_ADAM_FIELDS}
-        for n in opt.trainable:
-            blocks.append(opt.m[n])
-        for n in opt.trainable:
-            blocks.append(opt.v[n])
+        blocks += [opt.m[n] for n in opt.trainable] + [opt.v[n] for n in opt.trainable]
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     write_file(path, itertools.chain(
         (CKPT_MAGIC, struct.pack("<I", len(head)), head),
         (np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in blocks)), "wb")
-
-
-def _read_block(f, name, shape):
-    nbytes = 4 * math.prod(shape)
-    raw = f.read(nbytes)
-    if len(raw) != nbytes:
-        raise CheckpointTruncatedError(
-            f"checkpoint truncated while reading parameter '{name}'"
-        )
-    return np.frombuffer(raw, dtype="<f4").reshape(shape)
 
 
 def _check_rng_state(state):
@@ -560,62 +565,64 @@ def _parse_header(header):
 
 
 def load_checkpoint(path):
-    """Returns (model, optimizer or None, step, rng_state or None).
-
-    A file that is not exactly a checkpoint of this format raises a
-    CheckpointError (or the subclass that says why) naming ``path``."""
+    """Returns (model, optimizer or None, step, rng_state or None), from one
+    read of the file. A file that is not exactly a checkpoint of this format
+    raises a CheckpointError (or the subclass that says why) naming
+    ``path``, and a cut payload names the block the file ends in."""
     with open(path, "rb") as f:
+        raw = f.read()
         try:
-            magic = f.read(len(CKPT_MAGIC))
+            magic, head_start = raw[:len(CKPT_MAGIC)], len(CKPT_MAGIC) + 4
             if magic != CKPT_MAGIC:
                 raise CheckpointVersionError(f"not a checkpoint file: bad magic {magic!r}")
-            raw_len = f.read(4)
-            if len(raw_len) != 4:
+            if len(raw) < head_start:
                 raise CheckpointTruncatedError("checkpoint truncated in header length")
-            (hlen,) = struct.unpack("<I", raw_len)
-            head = f.read(hlen)
-            if len(head) != hlen:
+            start = head_start + struct.unpack_from("<I", raw, len(CKPT_MAGIC))[0]
+            if len(raw) < start:
                 raise CheckpointTruncatedError("checkpoint truncated in header")
             try:
-                header = json.loads(head.decode("utf-8"))
+                header = json.loads(raw[head_start:start].decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as e:
                 raise CheckpointVersionError(f"unreadable checkpoint header: {e}") from e
             if not isinstance(header, dict):
                 raise CheckpointError("checkpoint header is not a JSON object")
             version = header.get("version")
             if type(version) is not int or version != CKPT_VERSION:
-                raise CheckpointVersionError(
-                    f"unsupported checkpoint version {version!r}"
-                )
+                raise CheckpointVersionError(f"unsupported checkpoint version {version!r}")
             try:
                 model_cfg, entries, adam, step = _parse_header(header)
                 model = Model.blank(model_cfg)
             except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
                 raise CheckpointError(f"malformed checkpoint header: {e!r}") from e
             params = model.named_parameters()
+            mismatch = {name for name, _ in entries} ^ set(params)
+            if mismatch:
+                raise CheckpointShapeError(f"checkpoint parameter list mismatch: "
+                                           f"{sorted(mismatch)[:3]}")
             for name, shape in entries:
-                if name not in params:
-                    raise CheckpointShapeError(f"unknown parameter '{name}' in checkpoint")
                 if tuple(params[name].shape) != shape:
                     raise CheckpointShapeError(
                         f"parameter '{name}' has shape {shape} in checkpoint but "
                         f"{tuple(params[name].shape)} in config"
                     )
-                params[name].data = _read_block(f, name, params[name].shape).astype(np.float64)
-            missing = {name for name, _ in entries} ^ set(params)
-            if missing:
-                raise CheckpointShapeError(
-                    f"checkpoint parameter list mismatch: {sorted(missing)[:3]}"
-                )
-            opt = None
-            if adam is not None:
-                opt = Adam(params, **adam)
-                for n in opt.trainable:
-                    opt.m[n][...] = _read_block(f, f"m:{n}", params[n].shape)
-                for n in opt.trainable:
-                    opt.v[n][...] = _read_block(f, f"v:{n}", params[n].shape)
-            if f.read(1):
+            trainable = adam["trainable"] if adam else []
+            # (block, the parameter whose shape it has), in payload order
+            blocks = [(name, name) for name, _ in entries] + [
+                (f"{k}:{n}", n) for k in "mv" for n in trainable]
+            ends = start + 4 * np.cumsum([params[n].size for _, n in blocks])
+            if ends[-1] > len(raw):
+                cut = blocks[np.searchsorted(ends, len(raw), side="right")][0]
+                raise CheckpointTruncatedError(
+                    f"checkpoint truncated while reading parameter '{cut}'")
+            if ends[-1] < len(raw):
                 raise CheckpointError("checkpoint has bytes after its payload")
+            payload = np.split(np.frombuffer(raw, "<f4", offset=start), (ends[:-1] - start) // 4)
+            arrays = {b: a.reshape(params[n].shape) for (b, n), a in zip(blocks, payload)}
+            for name, _ in entries:
+                params[name].data = arrays[name].astype(np.float64)
+            opt = None if adam is None else Adam(params, **adam)
+            for n in trainable:
+                opt.m[n][...], opt.v[n][...] = arrays[f"m:{n}"], arrays[f"v:{n}"]
             return model, opt, step, header["rng_state"]
         except CheckpointError as e:
             raise type(e)(f"checkpoint {path}: {e}") from e

@@ -26,6 +26,7 @@ from mmasr.errors import (
     CheckpointVersionError,
     ConfigError,
     ContractError,
+    CorpusFormatError,
     FeasibilityError,
     NumericError,
     RecipeError,
@@ -401,6 +402,19 @@ def test_truncated_checkpoint_names_parameter(tmp_path):
     header_cut.write_bytes(raw[:10])
     with pytest.raises(CheckpointTruncatedError):
         load_checkpoint(str(header_cut))
+    # With optimizer state: a cut inside the first m: and v: blocks names them.
+    _, splits = gen_corpus(MICRO_CORPUS)
+    opt, rng, _ = run_stage(model, splits["train"], TrainConfig(max_steps=1, batch_size=2))
+    save_checkpoint(str(path), model, opt, 1, rng)
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    sizes = [p.size for p in model.named_parameters().values()]
+    m_start = 12 + hlen + 4 * sum(sizes)
+    v_start = m_start + 4 * sum(opt.m[n].size for n in opt.trainable)
+    for start, block in ((m_start, f"m:{opt.trainable[0]}"), (v_start, f"v:{opt.trainable[0]}")):
+        cut.write_bytes(raw[: start + 2])
+        with pytest.raises(CheckpointTruncatedError, match=f"'{re.escape(block)}'"):
+            load_checkpoint(str(cut))
 
 
 def test_a_failed_checkpoint_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
@@ -513,6 +527,37 @@ def test_run_recipe_into_a_used_directory_starts_its_logs_afresh(tmp_path):
         once, twice = (str(tmp_path / run / f"{stage}.log") for run in ("once", "twice"))
         assert open(twice, "rb").read() == open(once, "rb").read()
         assert len(open(metrics_path(twice)).readlines()) == 3
+
+
+def test_a_resumed_run_logs_each_step_once(tmp_path):
+    """A run resumed from a checkpoint older than its logs' last step cuts
+    them back to that step: its log is the bytes of a continuous run's."""
+    _, splits = gen_corpus(MICRO_CORPUS)
+    cfg = TrainConfig(stage="audio_only", max_steps=4, batch_size=2, seed=1,
+                      val_every=2, val_subset=2)
+    cont, resumed = (str(tmp_path / name) for name in ("cont.log", "resumed.log"))
+    run_stage(micro_model(), splits["train"], cfg, log_path=cont, valid_utts=splits["valid"])
+    half = micro_model()
+    opt, rng, _ = run_stage(half, splits["train"], dataclasses.replace(cfg, max_steps=2),
+                            log_path=resumed, valid_utts=splits["valid"])
+    save_checkpoint(str(tmp_path / "mid.ckpt"), half, opt, 2, rng)
+    run_stage(half, splits["train"], cfg, log_path=resumed, valid_utts=splits["valid"],
+              opt=opt, rng=rng, start_step=2)  # steps 3 and 4, past the checkpoint
+    model, opt2, step, rng_state = load_checkpoint(str(tmp_path / "mid.ckpt"))
+    rng2 = np.random.default_rng()
+    rng2.bit_generator.state = rng_state
+    run_stage(model, splits["train"], cfg, log_path=resumed, valid_utts=splits["valid"],
+              opt=opt2, rng=rng2, start_step=step)
+    assert open(resumed, "rb").read() == open(cont, "rb").read()
+    steps = [json.loads(line)["step"] for line in open(metrics_path(resumed))]
+    assert steps == [1, 2, 3, 4]
+    for bad in ("[2]", '{"step": "2"}', '{"loss": 1.0}', "{", '{"step": 2.0}', ""):
+        lines = open(cont).read().splitlines()
+        lines.insert(1, bad)
+        open(resumed, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(resumed)}, line 2: "):
+            run_stage(model, splits["train"], cfg, log_path=resumed, opt=opt2, rng=rng2,
+                      start_step=step)
 
 
 def test_validation_records_report_edit_counts(tmp_path):
