@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import FeasibilityError, NumericError, OracleSizeError
-from .tensor import Tensor, _accum, _register
+from .tensor import Tensor, _accum
 
 BLANK = 0
 
@@ -80,7 +80,6 @@ def ctc_loss(log_probs, labels, lengths=None):
     alpha = _alpha(emit, skip)
     log_likelihood = np.logaddexp.reduce(alpha[rows, last] + final, axis=1)
     losses = -log_likelihood
-    out = Tensor(losses if batched else losses[0], (log_probs,))
 
     def backward(g):
         beta = _beta(emit, skip, final, last)
@@ -90,8 +89,7 @@ def ctc_loss(log_probs, labels, lengths=None):
         grad = weights @ one_hot
         _accum(log_probs, grad if batched else grad[0])
 
-    _register(out, backward)
-    return out
+    return Tensor(losses if batched else losses[0], (log_probs,), backward)
 
 
 def _alpha(emit, skip):

@@ -173,7 +173,7 @@ def embed(tokens, table):
     tokens = np.asarray(tokens, dtype=np.int64)
     V, d = table.shape
     if tokens.size == 0:
-        return tn.zeros(tokens.shape + (d,))
+        return Tensor(np.zeros(tokens.shape + (d,)))
     if tokens.min() < 0 or tokens.max() >= V:
         bad = tokens[(tokens < 0) | (tokens >= V)][0]
         raise VocabError(f"token id {bad} outside vocabulary of size {V}")

@@ -57,14 +57,16 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, d):
-        """The inverse of ``to_json``: every field must be present."""
-        for key, sub in (("encoder", EncoderConfig), ("decoder", DecoderConfig)):
-            missing = {f.name for f in dataclasses.fields(sub)} - set(d[key])
-            if missing:
-                raise KeyError(f"{key} config lacks {sorted(missing)}")
-        fields = {f.name: d[f.name] for f in dataclasses.fields(cls)}
-        return cls(**{**fields, "encoder": EncoderConfig(**d["encoder"]),
-                      "decoder": DecoderConfig(**d["decoder"])})
+        """The inverse of ``to_json``: at every level each field must be
+        present and no other key is allowed."""
+        subs = {"encoder": EncoderConfig, "decoder": DecoderConfig}
+        for where, kind in (("model", cls), *subs.items()):
+            keys = set(d if where == "model" else d[where])
+            fields = {f.name for f in dataclasses.fields(kind)}
+            if keys != fields:
+                raise KeyError(f"{where} config lacks {sorted(fields - keys)} "
+                               f"and has unknown keys {sorted(keys - fields)}")
+        return cls(**{**d, **{key: sub(**d[key]) for key, sub in subs.items()}})
 
 
 def make_decoder_config(v_content, n_background, **arch):

@@ -1,7 +1,8 @@
 """Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records its inputs and a backward closure on the produced
-tensor; ``Tensor.backward()`` walks the recorded graph in reverse
+Every operation makes its output as ``Tensor(value, parents, backward)``,
+which records its Tensor inputs and backward closure, or nothing under
+``no_grad``; ``Tensor.backward()`` walks the recorded graph in reverse
 topological order. The traversal order is fixed, so gradient accumulation
 is bit-reproducible across runs.
 
@@ -41,17 +42,18 @@ class no_grad:
 
 
 class Tensor:
+    """An array and, while recording, the node that made it: its Tensor
+    ``parents`` and the ``backward(g)`` that passes its gradient g to them."""
+
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, _parents=(), _backward=None):
+    def __init__(self, data, parents=(), backward=None):
         self.data = _float_array(data)
         self.grad = None
         if _grad_enabled:
-            self._parents = tuple(_parents)
-            self._backward = _backward
+            self._parents, self._backward = tuple(parents), backward
         else:
-            self._parents = ()
-            self._backward = None
+            self._parents, self._backward = (), None
 
     @property
     def shape(self):
@@ -106,13 +108,6 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _register(out, backward):
-    # Backward closures are only attached while recording; under no_grad the
-    # produced tensor stays a detached leaf.
-    if _grad_enabled:
-        out._backward = backward
-
-
 def _accum(t, g):
     # ``g`` is handed over: its producer made it for ``t`` alone and does not
     # use it again, so the first gradient is stored without a copy unless it
@@ -153,7 +148,6 @@ def add(a, b):
     """a + b, broadcasting. An operand that is not a Tensor (a numpy array or
     a number) is a constant: it is not recorded and gets no gradient."""
     ad, bd = _value(a), _value(b)
-    out = Tensor(ad + bd, _inputs(a, b))
 
     def backward(g):
         ga = None
@@ -165,14 +159,12 @@ def add(a, b):
             # Both operands of the output's shape get ``g`` itself: b copies.
             _accum(b, gb.copy() if gb is ga else gb)
 
-    _register(out, backward)
-    return out
+    return Tensor(ad + bd, _inputs(a, b), backward)
 
 
 def mul(a, b):
     """a * b, broadcasting; a non-Tensor operand is a constant, as in add."""
     ad, bd = _value(a), _value(b)
-    out = Tensor(ad * bd, _inputs(a, b))
 
     def backward(g):
         if isinstance(a, Tensor):
@@ -180,21 +172,18 @@ def mul(a, b):
         if isinstance(b, Tensor):
             _accum(b, _unbroadcast(g * ad, bd.shape))
 
-    _register(out, backward)
-    return out
+    return Tensor(ad * bd, _inputs(a, b), backward)
 
 
 def scale(a, c):
     """a * c for a number c; a non-Tensor ``a`` is a constant, as in add."""
     c = float(c)
-    out = Tensor(_value(a) * c, _inputs(a))
 
     def backward(g):
         if isinstance(a, Tensor):
             _accum(a, g * c)
 
-    _register(out, backward)
-    return out
+    return Tensor(_value(a) * c, _inputs(a), backward)
 
 
 def matmul(a, b):
@@ -207,7 +196,6 @@ def matmul(a, b):
     if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul shapes do not conform: {ad.shape} x {bd.shape}")
     rows = ad.reshape(-1, ad.shape[-1])
-    out = Tensor((rows @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), _inputs(a, b))
 
     def backward(g):
         g_rows = g.reshape(-1, g.shape[-1])
@@ -216,19 +204,16 @@ def matmul(a, b):
         if isinstance(b, Tensor):
             _accum(b, rows.T @ g_rows)
 
-    _register(out, backward)
-    return out
+    return Tensor((rows @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), _inputs(a, b), backward)
 
 
 def sum_all(a):
     a = as_tensor(a)
-    out = Tensor(a.data.sum(), (a,))
 
     def backward(g):
         _accum(a, np.full_like(a.data, float(g)))
 
-    _register(out, backward)
-    return out
+    return Tensor(a.data.sum(), (a,), backward)
 
 
 def log_softmax_rows(x):
@@ -241,13 +226,11 @@ def log_softmax_rows(x):
     y = xd - np.maximum.reduce(xd, axis=-1, keepdims=True)
     lse = np.add.reduce(np.exp(y), axis=-1, keepdims=True)
     y -= np.log(lse, out=lse)
-    out = Tensor(y, (x,))
 
     def backward(g):
         _accum(x, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
-    _register(out, backward)
-    return out
+    return Tensor(y, (x,), backward)
 
 
 def attention(q, k, v, weights, n_heads, penalty=None, norm=None):
@@ -291,7 +274,6 @@ def attention(q, k, v, weights, n_heads, penalty=None, norm=None):
     probs, heads = _attend(qh, kh, vh, penalty)
     merged = np.transpose(heads, swap).reshape(-1, d)  # [N x d]
     y = (merged @ w_o.data).reshape(lead + (L_q, d))
-    out = Tensor(y if norm is None else q.data + y, inputs + list(weights))
 
     def backward(g):
         g_rows = g.reshape(-1, d)
@@ -316,8 +298,7 @@ def attention(q, k, v, weights, n_heads, penalty=None, norm=None):
                 _accum(x, (g_p @ w.data.T).reshape(x.data.shape))
             _accum(w, r.T @ g_p)
 
-    _register(out, backward)
-    return out
+    return Tensor(y if norm is None else q.data + y, inputs + list(weights), backward)
 
 
 def _attend(qh, kh, vh, penalty=None):
@@ -363,9 +344,7 @@ def _normalize(x, norm):
 def layer_norm(x, norm):
     """Layer norm of ``x`` with ``norm``'s gamma and beta, as one node."""
     h, norm_backward = _normalize(x, norm)
-    out = Tensor(h, (x, norm.gamma, norm.beta))
-    _register(out, lambda g: _accum(x, norm_backward(g)))
-    return out
+    return Tensor(h, (x, norm.gamma, norm.beta), lambda g: _accum(x, norm_backward(g)))
 
 
 def feed_forward(x, norm, w1, w2, c):
@@ -377,7 +356,6 @@ def feed_forward(x, norm, w1, w2, c):
     pre = rows @ w1.data
     hidden = np.maximum(pre, 0.0)
     y = (hidden @ w2.data).reshape(xd.shape[:-1] + (w2.data.shape[1],))
-    out = Tensor(xd + y * c, (x, norm.gamma, norm.beta, w1, w2))
 
     def backward(g):
         g_rows = (g * c).reshape(-1, g.shape[-1])
@@ -386,8 +364,7 @@ def feed_forward(x, norm, w1, w2, c):
         _accum(w1, rows.T @ g_pre)
         _accum(x, g + norm_backward((g_pre @ w1.data.T).reshape(xd.shape)))
 
-    _register(out, backward)
-    return out
+    return Tensor(xd + y * c, (x, norm.gamma, norm.beta, w1, w2), backward)
 
 
 def conv_module(x, norm, w_in, kernel, w_out, frame_mask=None):
@@ -418,8 +395,6 @@ def conv_module(x, norm, w_in, kernel, w_out, frame_mask=None):
         h += padded[..., j : j + L, :] * kernel.data[j]
     sig = 1.0 / (1.0 + np.exp(-h))
     act = (h * sig).reshape(-1, d)
-    out = Tensor(x.data + (act @ w_out.data).reshape(lead + (L, w_out.data.shape[1])),
-                 (x, norm.gamma, norm.beta, w_in, kernel, w_out))
 
     def backward(g):
         g_rows = g.reshape(-1, g.shape[-1])
@@ -436,23 +411,21 @@ def conv_module(x, norm, w_in, kernel, w_out, frame_mask=None):
         g_x = (g_in @ w_in.data.T).reshape(xd.shape)
         _accum(x, g + norm_backward(g_x if frame_mask is None else g_x * frame_mask))
 
-    _register(out, backward)
-    return out
+    return Tensor(x.data + (act @ w_out.data).reshape(lead + (L, w_out.data.shape[1])),
+                  (x, norm.gamma, norm.beta, w_in, kernel, w_out), backward)
 
 
 def gather_rows(table, ids):
     """Row lookup table[ids]; backward scatter-adds (duplicate ids accumulate)."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    out = Tensor(table.data[ids], (table,))
 
     def backward(g):
         full = np.zeros_like(table.data)
         np.add.at(full, ids, g)
         _accum(table, full)
 
-    _register(out, backward)
-    return out
+    return Tensor(table.data[ids], (table,), backward)
 
 
 def mean_pool_rows(a, factor, lengths=None):
@@ -476,15 +449,9 @@ def mean_pool_rows(a, factor, lengths=None):
     padded[..., :m, :] = a.data
     padded *= valid[..., None]
     windows = padded.reshape(lead + (n_out, factor, d)).sum(axis=-2)
-    out = Tensor(windows / counts, (a,))
 
     def backward(g):
         spread = np.repeat(g / counts, factor, axis=-2) * valid[..., None]
         _accum(a, spread[..., :m, :])
 
-    _register(out, backward)
-    return out
-
-
-def zeros(shape):
-    return Tensor(np.zeros(shape, dtype=np.float64))
+    return Tensor(windows / counts, (a,), backward)

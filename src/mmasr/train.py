@@ -413,7 +413,13 @@ def run_stage(model, train_utts, cfg, log_path=None, valid_utts=None,
     log_path)``: wall time, skipped utterances, utterances run through the
     speech encoder, gradient norm and input frames per second. Both files
     first keep only their records of steps up to ``start_step``, so a run
-    from step 0 starts them afresh and a resumed run logs each step once."""
+    from step 0 starts them afresh and a resumed run logs each step once.
+    An empty train split, or an empty valid split to validate on, is a
+    ConfigError before the first step."""
+    if not train_utts:
+        raise ConfigError("the train split holds no utterances")
+    if cfg.val_every and valid_utts is not None and not valid_utts:
+        raise ConfigError("the valid split holds no utterances")
     if opt is None:
         opt = Adam(model.named_parameters(), trainable_names(model, cfg),
                    cfg.peak_lr, cfg.warmup, cfg.adam_beta1, cfg.adam_beta2,

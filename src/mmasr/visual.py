@@ -58,7 +58,7 @@ def init_visual_params(text_vocab, d_model, n_heads, d_ff, rng):
 
 
 def empty_visual(d_model):
-    return VisualFeatures(frames=tn.zeros((0, d_model)))
+    return VisualFeatures(frames=Tensor(np.zeros((0, d_model))))
 
 
 def encode_visual(ocr_tokens, params, frozen=False, lengths=None):

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline on a miniature corpus."""
 
+import dataclasses
 import json
 import os
 import re
@@ -425,8 +426,16 @@ def decode_inputs(tmp_path_factory):
     return data, out / "stage1.ckpt"
 
 
-def _header_of_the_wrong_type(raw):
-    return raw[:8] + struct.pack("<I", 2) + b"[]"
+def _with_header(raw, head):
+    """The checkpoint ``raw`` with its header bytes replaced by ``head``."""
+    end = 12 + struct.unpack_from("<I", raw, 8)[0]
+    return raw[:8] + struct.pack("<I", len(head)) + head + raw[end:]
+
+
+def _a_parameter_listed_twice(raw):
+    header = json.loads(raw[12 : 12 + struct.unpack_from("<I", raw, 8)[0]])
+    header["params"].append(header["params"][0])
+    return _with_header(raw, json.dumps(header).encode())
 
 
 DECODE_INPUT_MUTATIONS = {
@@ -436,11 +445,20 @@ DECODE_INPUT_MUTATIONS = {
     "garbage": lambda raw: b"\xff\xfe\x00 not the file \x80",
     "wrong type": lambda raw: b"[]\n",
 }
+# Checkpoint headers that are not UTF-8 JSON, of the wrong JSON type, or
+# that list a parameter twice.
+CHECKPOINT_MUTATIONS = {
+    "wrong type": lambda raw: _with_header(raw, b"[]"),
+    "header not utf-8": lambda raw: _with_header(raw, b"\xff" * 8),
+    "parameter listed twice": _a_parameter_listed_twice,
+}
 
 
 @pytest.mark.parametrize("artifact, mutation", [
     (artifact, mutation) for artifact in ("checkpoint", "vocab.json", "test.jsonl")
-    for mutation in DECODE_INPUT_MUTATIONS] + [(None, "beam 0")])
+    for mutation in DECODE_INPUT_MUTATIONS] + [
+    ("checkpoint", "header not utf-8"), ("checkpoint", "parameter listed twice"),
+    (None, "beam 0")])
 def test_decode_refuses_a_bad_input_and_keeps_its_output(decode_inputs, tmp_path, capsys,
                                                          artifact, mutation):
     """Each file decode reads, made missing, empty, truncated, garbage or of
@@ -454,9 +472,9 @@ def test_decode_refuses_a_bad_input_and_keeps_its_output(decode_inputs, tmp_path
     beam = "0" if mutation == "beam 0" else "2"
     if artifact is not None:
         path = ckpt if artifact == "checkpoint" else data / artifact
-        mutate = DECODE_INPUT_MUTATIONS[mutation]
-        if artifact == "checkpoint" and mutation == "wrong type":
-            mutate = _header_of_the_wrong_type
+        mutate = DECODE_INPUT_MUTATIONS.get(mutation)
+        if artifact == "checkpoint":
+            mutate = CHECKPOINT_MUTATIONS.get(mutation, mutate)
         raw = path.read_bytes()
         path.unlink()
         if mutate is not None:
@@ -560,3 +578,67 @@ def test_python_m_mmasr_runs_the_cli():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "gen-data" in done.stdout
+
+
+def _train_error(tmp_path, capsys, config=CONFIG, corpus=None, stage=1, extra=()):
+    """(exit code, stderr) of `mmasr train` on a corpus generated from
+    ``config`` and changed in place by ``corpus(data)``; asserts that no
+    traceback and no checkpoint came out."""
+    cfg_path, data, out = tmp_path / "run.json", tmp_path / "corpus", tmp_path / "run"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(["gen-data", "--config", str(cfg_path), "--out", str(data)]) == 0
+    capsys.readouterr()
+    if corpus is not None:
+        corpus(data)
+    code = run_cli(["train", "--config", str(cfg_path), "--stage", str(stage),
+                    "--data", str(data), "--out", str(out), *extra])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not os.path.exists(out / f"stage{stage}.ckpt")
+    return code, err
+
+
+@pytest.mark.parametrize("split", ["train", "valid"])
+def test_train_refuses_an_empty_split_before_the_first_step(tmp_path, capsys, split):
+    config = dict(CONFIG, corpus=dict(CONFIG["corpus"], **{f"n_{split}": 0}),
+                  train_stage1=dict(CONFIG["train_stage1"], val_every=2))
+    code, err = _train_error(tmp_path, capsys, config)
+    assert code == 2
+    assert err.startswith("error: ") and f"{split} split holds no utterances" in err
+    assert not os.path.exists(tmp_path / "run" / "stage1.log")
+
+
+def test_train_without_a_train_split_names_the_corpus(tmp_path, capsys):
+    code, err = _train_error(tmp_path, capsys, corpus=lambda data: (data / "train.jsonl").unlink())
+    assert code == 2
+    assert f"no train split found under {tmp_path / 'corpus'}" in err
+
+
+def test_train_with_a_missing_stage1_checkpoint_names_it(tmp_path, capsys):
+    missing = tmp_path / "missing.ckpt"
+    code, err = _train_error(tmp_path, capsys, stage=2, extra=("--stage1-ckpt", str(missing)))
+    assert code == 2
+    assert f"stage-1 checkpoint not found: {missing}" in err
+
+
+def test_a_run_config_that_is_not_json_names_the_file(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text('{"corpus": ')
+    assert run_cli(["gen-data", "--config", str(p), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"config {p} is not valid JSON" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_a_numeric_error_in_training_exits_3(tmp_path, capsys):
+    """Finite frames of 3e38 overflow inside the encoder; the attention
+    softmax finds the non-finite scores and training stops with exit 3."""
+    def overflow(data):
+        path, vocab = data / "train.jsonl", read_vocab(str(data / "vocab.json"))
+        write_split(str(path), [dataclasses.replace(utt, audio=np.full_like(utt.audio, 3e38))
+                                for utt in read_split(str(path), vocab)])
+
+    code, err = _train_error(tmp_path, capsys, corpus=overflow)
+    assert code == 3
+    assert err == "error: softmax input contains non-finite values\n"

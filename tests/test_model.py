@@ -89,5 +89,10 @@ def test_config_json_roundtrip():
         del partial[key]["d_ff"]
         with pytest.raises(KeyError, match="d_ff"):
             ModelConfig.from_json(partial)
+    for level in (None, "encoder", "decoder"):
+        extra = cfg.to_json()
+        (extra if level is None else extra[level])["extra"] = 1
+        with pytest.raises(KeyError, match="extra"):
+            ModelConfig.from_json(extra)
     with pytest.raises(ConfigError):
         ModelConfig.from_json({**cfg.to_json(), "d_in": 3.0})

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmasr import tensor as tn
+from mmasr.ctc import ctc_loss
 from mmasr.errors import ContractError, NumericError, ShapeError
 from mmasr.gradsuite import grad_check, param_grad_check
 from mmasr.layers import LayerNormParams, causal_mask, init_layer_norm, key_mask
@@ -187,11 +188,42 @@ def test_mean_pool_rows_ragged_tail():
     assert np.array_equal(pooled, np.array([x[0:4].mean(axis=0), x[4:5].mean(axis=0)]))
 
 
+def _node_calls():
+    """Each node function called on small inputs, with the Tensor inputs it
+    records as its parents."""
+    rng = np.random.default_rng(11)
+    x, y, kernel = (Tensor(rng.standard_normal((3, 4))) for _ in range(3))
+    w = tuple(Tensor(rng.standard_normal((4, 4))) for _ in range(4))
+    norm, log_probs = init_layer_norm(4), Tensor(np.full((3, 3), -math.log(3)))
+    ln = (x, norm.gamma, norm.beta)
+    return {
+        "add": (lambda: tn.add(x, y), (x, y)),
+        "mul": (lambda: tn.mul(x, y), (x, y)),
+        "scale": (lambda: tn.scale(x, 2.0), (x,)),
+        "matmul": (lambda: tn.matmul(x, w[0]), (x, w[0])),
+        "sum_all": (lambda: tn.sum_all(x), (x,)),
+        "log_softmax_rows": (lambda: tn.log_softmax_rows(x), (x,)),
+        "attention": (lambda: tn.attention(x, y, y, w, 2), (x, y, y) + w),
+        "pre-LN attention": (lambda: tn.attention(x, x, x, w, 2, norm=norm), ln + w),
+        "layer_norm": (lambda: tn.layer_norm(x, norm), ln),
+        "feed_forward": (lambda: tn.feed_forward(x, norm, w[0], w[1], 0.5), ln + w[:2]),
+        "conv_module": (lambda: tn.conv_module(x, norm, w[0], kernel, w[1]),
+                        ln + (w[0], kernel, w[1])),
+        "gather_rows": (lambda: tn.gather_rows(w[0], [2, 0, 2]), (w[0],)),
+        "mean_pool_rows": (lambda: tn.mean_pool_rows(x, 2), (x,)),
+        "ctc_loss": (lambda: ctc_loss(log_probs, [1, 2]), (log_probs,)),
+    }
+
+
 def test_no_grad_records_no_graph():
-    with tn.no_grad():
-        y = tn.mul(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
-    assert y._parents == ()
-    assert y._backward is None
+    """Under no_grad every node function returns a detached leaf; while
+    recording, its parents are its Tensor inputs."""
+    for name, (call, inputs) in _node_calls().items():
+        with tn.no_grad():
+            out = call()
+        assert out._parents == () and out._backward is None, name
+        out = call()
+        assert out._parents == inputs and out._backward is not None, name
 
 
 def test_silu_grad():
@@ -295,7 +327,6 @@ def _reference_feed_forward(residual, x, w1, w2, c):
     pre = rows @ w1.data
     hidden = np.maximum(pre, 0.0)
     y = (hidden @ w2.data).reshape(xd.shape[:-1] + (w2.data.shape[1],))
-    out = Tensor(residual.data + y * c, (residual, x, w1, w2))
 
     def backward(g):
         tn._accum(residual, g)
@@ -305,8 +336,7 @@ def _reference_feed_forward(residual, x, w1, w2, c):
         tn._accum(w1, rows.T @ g_pre)
         tn._accum(x, (g_pre @ w1.data.T).reshape(xd.shape))
 
-    tn._register(out, backward)
-    return out
+    return Tensor(residual.data + y * c, (residual, x, w1, w2), backward)
 
 
 def _reference_self_attention(residual, x, weights, n_heads, penalty):
@@ -331,8 +361,6 @@ def _reference_self_attention(residual, x, weights, n_heads, penalty):
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     merged = np.transpose(np.matmul(probs, vh), swap).reshape(-1, d)
-    out = Tensor(residual.data + (merged @ w_o.data).reshape(lead + (L, d)),
-                 (residual, x) + tuple(weights))
 
     def backward(g):
         tn._accum(residual, g)
@@ -351,8 +379,8 @@ def _reference_self_attention(residual, x, weights, n_heads, penalty):
         for w, g_w in zip((w_q, w_k, w_v), np.split(rows.T @ g_proj, 3, axis=1)):
             tn._accum(w, g_w)
 
-    tn._register(out, backward)
-    return out
+    return Tensor(residual.data + (merged @ w_o.data).reshape(lead + (L, d)),
+                  (residual, x) + tuple(weights), backward)
 
 
 def _reference_shift_sum(x, kernel):
@@ -363,7 +391,6 @@ def _reference_shift_sum(x, kernel):
     y = np.zeros_like(x.data)
     for j in range(width):
         y += padded[..., j : j + L, :] * kernel.data[j]
-    out = Tensor(y, (x, kernel))
 
     def backward(g):
         g_padded = np.zeros_like(padded)
@@ -374,19 +401,16 @@ def _reference_shift_sum(x, kernel):
         tn._accum(x, g_padded[..., half : half + L, :])
         tn._accum(kernel, g_kernel)
 
-    tn._register(out, backward)
-    return out
+    return Tensor(y, (x, kernel), backward)
 
 
 def _reference_silu(a):
     sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(a.data * sig, (a,))
 
     def backward(g):
         tn._accum(a, g * (sig + a.data * sig * (1.0 - sig)))
 
-    tn._register(out, backward)
-    return out
+    return Tensor(a.data * sig, (a,), backward)
 
 
 def _reference_conv_module(residual, x, w_in, kernel, w_out, frame_mask=None):

@@ -357,6 +357,7 @@ def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path):
     save_checkpoint(str(path), model)
     corruptions = {
         "no_model_config": lambda h: h.pop("model_config"),
+        "unknown_model_config_key": lambda h: h["model_config"].update(extra=1),
         "unknown_encoder_key": lambda h: h["model_config"]["encoder"].update(depth=3),
         "params_not_a_list": lambda h: h.update(params={"a": [1]}),
         # valid configs on their own, but no model has both
@@ -366,7 +367,8 @@ def test_malformed_checkpoint_header_is_checkpoint_error(tmp_path):
         bad = tmp_path / f"{name}.ckpt"
         bad.write_bytes(path.read_bytes())
         _rewrite_header(bad, mutate)
-        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+        with pytest.raises(CheckpointError, match=f"^checkpoint {re.escape(str(bad))}: "
+                                                  "malformed checkpoint header"):
             load_checkpoint(str(bad))
     trailing = tmp_path / "trailing.ckpt"
     trailing.write_bytes(path.read_bytes() + b"\0")
