@@ -137,7 +137,6 @@ def cmd_train(args):
     vocab, splits = read_corpus(args.data)
     if "train" not in splits:
         raise ConfigError(f"no train split found under {args.data}")
-    os.makedirs(args.out, exist_ok=True)
     cfg = rc.train_stage1 if args.stage == 1 else rc.train_stage2
     check_stage(cfg, args.stage)
     if args.stage == 1:
@@ -173,7 +172,7 @@ def cmd_decode(args):
         hyp = decode_utterance(model, utt, use_visual, beam=args.beam)
         timings.append({"id": utt.uid, "ms": (time.perf_counter() - start) * 1e3,
                         "tokens": len(hyp.tokens), "hit_max_len": hyp.hit_max_len,
-                        "steps": hyp.steps})
+                        "steps": hyp.steps, "finished": hyp.finished})
         hyps.append({"id": utt.uid, "tokens": hyp.tokens, "log_prob": hyp.log_prob})
     for path, records in ((args.out, hyps), (metrics_path(args.out), timings)):
         write_file(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))

@@ -33,7 +33,7 @@ def check_feasible(t_len, labels):
 
 def _check_log_probs(log_probs):
     sums = np.exp(log_probs.data).sum(axis=-1)
-    if not np.allclose(sums, 1.0, atol=1e-9):
+    if not (np.abs(sums - 1.0) <= 1e-9).all():  # NaN fails too
         raise NumericError("CTC logits rows do not exp-sum to 1")
 
 

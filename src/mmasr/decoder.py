@@ -177,6 +177,7 @@ class Hypothesis:
     normalized: float
     hit_max_len: bool = field(default=False, compare=False)  # ended without EOS
     steps: int = field(default=0, compare=False)  # search steps the search ran
+    finished: int = field(default=0, compare=False)  # hypotheses that ended in the search
 
 
 def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
@@ -232,7 +233,7 @@ def beam_decode(t_feats, i_feats, cfg, params, beam=4, max_len=32):
         finished.sort(key=lambda c: (-c[1] / c[2], c[0]))
         toks, lp, n = finished[0]
         return Hypothesis(tokens=list(toks), log_prob=lp, normalized=lp / n,
-                          hit_max_len=len(toks) == n, steps=step)
+                          hit_max_len=len(toks) == n, steps=step, finished=len(finished))
 
 
 def _cross_memory(t_feats, i_feats, cross):

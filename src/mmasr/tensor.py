@@ -24,6 +24,8 @@ from .errors import ConfigError, ContractError, NumericError, ShapeError
 _grad_enabled = True
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _NORM_EPS = 1e-5  # the layer norm's variance floor
+_EXP_BOUND = 64.0  # exp(64) times any row length numpy can hold is finite in float32
+_ONES = {}  # dtype -> read-only [n x 1] ones column, n the longest row summed yet
 
 
 class no_grad:
@@ -281,7 +283,7 @@ def attention(q, k, v, weights, n_heads, penalty=None, norm=None):
         g_heads = np.transpose((g_rows @ w_o.data.T).reshape(lead + (L_q, n_heads, d_k)), swap)
         g_probs = g_heads @ np.swapaxes(vh, -1, -2)
         g_vh = np.swapaxes(probs, -1, -2) @ g_heads
-        g_scores = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs
+        g_scores = (g_probs - _row_sums(g_probs * probs)) * probs
         g_scores *= 1.0 / math.sqrt(d_k)
         g_qh = g_scores @ np.swapaxes(kh, -1, -2)
         g_kh = np.swapaxes(qh, -1, -2) @ g_scores
@@ -303,17 +305,35 @@ def attention(q, k, v, weights, n_heads, penalty=None, norm=None):
 
 def _attend(qh, kh, vh, penalty=None):
     """(probs, probs @ vh), probs = softmax(qh @ kh / sqrt(d_k) + ``penalty``) over
-    the keys: qh [..., h x L_q x d_k], kh [..., h x d_k x L_k], vh [..., h x L_k x d_k]."""
-    probs = np.matmul(qh, kh)  # [..., h x L_q x L_k]
-    probs *= 1.0 / math.sqrt(qh.shape[-1])
+    the keys: qh [..., h x L_q x d_k], kh [..., h x d_k x L_k], vh [..., h x L_k x d_k].
+
+    A shift leaves a row's softmax unchanged (Milakov & Gimelshein 2018), so rows
+    are shifted by their key-0 score (every mask the model builds shows key 0),
+    not by their max; exp(0) = 1 keeps each row sum >= 1. If a shifted score
+    reaches ``_EXP_BOUND`` (key 0 hidden, or far below its row's max), all rows
+    are shifted by their max instead."""
+    scores = np.matmul(qh, kh)  # [..., h x L_q x L_k]
+    scores *= 1.0 / math.sqrt(qh.shape[-1])
     if penalty is not None:
-        probs += penalty.astype(probs.dtype, copy=False)
-    if not np.isfinite(probs).all():
+        scores += penalty.astype(scores.dtype, copy=False)
+    if not np.isfinite(scores).all():
         raise NumericError("softmax input contains non-finite values")
-    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+    probs = scores - scores[..., :1]
+    if not probs.max(initial=-np.inf) < _EXP_BOUND:
+        probs = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    probs /= _row_sums(probs)
     return probs, np.matmul(probs, vh)
+
+
+def _row_sums(a):
+    """``a`` summed over its last axis, keepdims, as one BLAS product with a ones
+    column: numpy's reduction over many short rows costs several times more."""
+    n, col = a.shape[-1], _ONES.get(a.dtype)
+    if col is None or len(col) < n:
+        col = _ONES[a.dtype] = np.ones((n, 1), a.dtype)
+        col.flags.writeable = False
+    return a @ col[:n]
 
 
 def _normalize(x, norm):
@@ -332,11 +352,10 @@ def _normalize(x, norm):
     y *= inv_std
 
     def backward(g):
-        _accum(beta, _unbroadcast(g, beta.data.shape))
-        _accum(gamma, _unbroadcast(g * y, gamma.data.shape))
+        _accum(beta, _row_sums(g.reshape(-1, d).T).reshape(beta.data.shape))
+        _accum(gamma, _row_sums((g * y).reshape(-1, d).T).reshape(gamma.data.shape))
         gy = g * gamma.data
-        return inv_std * (gy - gy.sum(axis=-1, keepdims=True) / d
-                          - y * ((gy * y).sum(axis=-1, keepdims=True) / d))
+        return inv_std * (gy - _row_sums(gy) / d - y * (_row_sums(gy * y) / d))
 
     return y * gamma.data + beta.data, backward
 

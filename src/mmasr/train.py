@@ -386,8 +386,10 @@ def _json_number(x):
 
 def _open_log(path, start_step):
     """``path``, rewritten to hold only its records of steps up to
-    ``start_step`` (none from step 0), open for appending. A line that is
-    not a JSON object with an integer step raises CorpusFormatError."""
+    ``start_step`` (none from step 0), open for appending; its directory is
+    made if missing. A line that is not a JSON object with an integer step
+    raises CorpusFormatError."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     kept = []
     lines = read_text(path).splitlines() if start_step and os.path.exists(path) else []
     for i, line in enumerate(lines, start=1):
@@ -474,7 +476,6 @@ def run_recipe(model_cfg, splits, cfg_stage1, cfg_stage2, out_dir,
     """Audio-only pretraining, then fusion training with a frozen encoder."""
     check_stage(cfg_stage1, 1)
     check_stage(cfg_stage2, 2)
-    os.makedirs(out_dir, exist_ok=True)
     model = Model.init(model_cfg, model_seed)
     opt, rng, hist1 = run_stage(model, splits["train"], cfg_stage1,
                                 log_path=os.path.join(out_dir, "stage1.log"),

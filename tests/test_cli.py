@@ -173,13 +173,15 @@ def test_full_pipeline_and_reports(workspace, capsys):
     timings = [json.loads(l) for l in open(tmp_path / "hyp.metrics.jsonl")]
     assert [t["id"] for t in timings] == [r["id"] for r in records]
     for t, r in zip(timings, records):
-        assert set(t) == {"id", "ms", "tokens", "hit_max_len", "steps"}
+        assert set(t) == {"id", "ms", "tokens", "hit_max_len", "steps", "finished"}
         assert t["ms"] > 0.0 and t["tokens"] == len(r["tokens"])
         # decode's step limit: the encoder's length (subsampling by 2), plus EOS
         max_len = -(-len(utts[t["id"]].audio) // 2) + 1
         assert t["hit_max_len"] is (t["tokens"] == max_len)
         # the search ran at least the hypothesis's steps, and never past the limit
         assert t["tokens"] <= t["steps"] <= max_len
+        # at least the hypothesis chosen, and at most a beam's worth per step
+        assert 1 <= t["finished"] <= 2 * t["steps"]
     report_path = str(tmp_path / "report.json")
     assert run_cli(["eval", "--ref", f"{data}/test.jsonl", "--hyp", hyp,
                     "--vocab", f"{data}/vocab.json", "--out", report_path]) == 0
@@ -606,6 +608,21 @@ def test_train_refuses_an_empty_split_before_the_first_step(tmp_path, capsys, sp
     assert code == 2
     assert err.startswith("error: ") and f"{split} split holds no utterances" in err
     assert not os.path.exists(tmp_path / "run" / "stage1.log")
+
+
+@pytest.mark.parametrize("refusal", ["empty train split", "stage breaks the recipe",
+                                     "missing stage-1 checkpoint"])
+def test_a_refused_train_leaves_no_output_directory(tmp_path, capsys, refusal):
+    config, stage, extra = CONFIG, 1, ()
+    if refusal == "empty train split":
+        config = dict(CONFIG, corpus=dict(CONFIG["corpus"], n_train=0))
+    elif refusal == "stage breaks the recipe":
+        config = dict(CONFIG, train_stage1=dict(CONFIG["train_stage1"], stage="fusion"))
+    else:
+        stage, extra = 2, ("--stage1-ckpt", str(tmp_path / "missing.ckpt"))
+    code, _ = _train_error(tmp_path, capsys, config, stage=stage, extra=extra)
+    assert code == 2
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_train_without_a_train_split_names_the_corpus(tmp_path, capsys):

@@ -108,6 +108,20 @@ def test_rejects_unnormalized_rows():
         ctc_loss(Tensor(np.zeros((2, 3))), [1])
 
 
+def test_the_exp_sum_check_is_absolute_1e_9():
+    # A row that exp-sums to 1 + 1e-6 is outside 1e-9, with no relative slack;
+    # one off by 1e-10 is inside.
+    lp = rand_log_probs(3, 2)
+    for shift, ok in ((math.log1p(1e-6), False), (math.log1p(1e-10), True)):
+        shifted = lp.data.copy()
+        shifted[1] += shift
+        if ok:
+            ctc_loss(Tensor(shifted), [1])
+        else:
+            with pytest.raises(NumericError, match="exp-sum"):
+                ctc_loss(Tensor(shifted), [1])
+
+
 def test_float32_logits_pass_the_unchanged_check_in_float64():
     """log_softmax_rows of float32 logits is float64, so the CTC loss of a
     float32 model passes the 1e-9 exp-sum check: the loss is bitwise that

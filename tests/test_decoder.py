@@ -222,6 +222,12 @@ def test_wide_beam_matches_exhaustive_search():
         toks, lp = _brute_force_best(t_feats, i_feats, cfg, params, 3)
         assert hyp.tokens == toks
         assert abs(hyp.log_prob - lp) < 1e-9
+        # The beam holds every sequence, so each one that ended in the steps the
+        # search ran is finished: a body of k < steps content tokens then EOS,
+        # and at the last step every body of max_len tokens.
+        c = cfg.vocab_size - 2
+        ended = sum(c ** k for k in range(hyp.steps))
+        assert hyp.finished == ended + (c ** 3 if hyp.steps == 3 else 0)
 
 
 def test_wider_beam_never_scores_worse():

@@ -11,7 +11,8 @@ from mmasr import tensor as tn
 from mmasr.ctc import ctc_loss
 from mmasr.errors import ContractError, NumericError, ShapeError
 from mmasr.gradsuite import grad_check, param_grad_check
-from mmasr.layers import LayerNormParams, causal_mask, init_layer_norm, key_mask
+from mmasr.layers import (MASK_PENALTY, LayerNormParams, causal_mask, init_layer_norm,
+                          key_mask)
 from mmasr.tensor import Tensor
 
 RNG = np.random.default_rng(1234)
@@ -110,6 +111,36 @@ def test_softmax_rejects_non_finite():
         softmax_by_attention(Tensor([[1.0, np.inf]]))
     with pytest.raises(NumericError):
         tn.log_softmax_rows(Tensor([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+@pytest.mark.parametrize("key0", ["seen", "far below the max", "hidden"])
+def test_attend_matches_a_float64_softmax_on_either_path(dtype, tol, key0):
+    """A row is shifted by its key-0 score unless key 0 sits 100 below the
+    rest (past exp's float32 range) or is hidden, as a mask's penalty does;
+    then by its max. Neither path overflows."""
+    qh, kh, vh = (RNG.standard_normal(s) for s in ((2, 3, 4, 5), (2, 3, 5, 6), (2, 3, 6, 5)))
+    penalty = np.zeros((4, 6))
+    penalty[:, 0] = {"seen": 0.0, "far below the max": -100.0, "hidden": MASK_PENALTY}[key0]
+    qh, kh, vh = (x.astype(dtype) for x in (qh, kh, vh))
+    with np.errstate(over="raise", invalid="raise"):
+        probs, heads = tn._attend(qh, kh, vh, penalty)
+    scores = qh.astype(np.float64) @ kh.astype(np.float64) / math.sqrt(5) + penalty
+    want = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    want /= want.sum(axis=-1, keepdims=True)
+    assert probs.dtype == heads.dtype == dtype
+    assert np.max(np.abs(probs - want)) < tol
+    assert np.array_equal(heads, probs @ vh)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("shape", [(7,), (2, 3, 4, 5), (3, 0), (0, 5), (2, 0, 4, 3)])
+def test_row_sums_are_numpy_sums_over_a_read_only_column(dtype, tol, shape):
+    a = RNG.standard_normal(shape).astype(dtype)
+    got, want = tn._row_sums(a), np.add.reduce(a, axis=-1, keepdims=True)
+    assert got.shape == want.shape and got.dtype == dtype
+    assert np.allclose(got, want, rtol=0.0, atol=tol)
+    assert tn._ONES and not any(col.flags.writeable for col in tn._ONES.values())
 
 
 def test_log_softmax_matches_log_of_softmax():
@@ -339,9 +370,10 @@ def _reference_feed_forward(residual, x, w1, w2, c):
     return Tensor(residual.data + y * c, (residual, x, w1, w2), backward)
 
 
-def _reference_self_attention(residual, x, weights, n_heads, penalty):
+def _reference_self_attention(residual, x, weights, n_heads, penalty, key0_shifts):
     """residual + MHA(x, x, x) as one node, its q/k/v projections one GEMM:
-    the self-attention node before it took in the layer norm."""
+    the self-attention node before it took in the layer norm. Appends to
+    ``key0_shifts`` whether its scores were shifted by their key-0 score."""
     w_q, w_k, w_v, w_o = weights
     lead, (L, d) = x.data.shape[:-2], x.data.shape[-2:]
     d_k = d // n_heads
@@ -354,12 +386,18 @@ def _reference_self_attention(residual, x, weights, n_heads, penalty):
     proj = rows @ w_qkv
     qh, kh, vh = (np.transpose(p.reshape(lead + (L, n_heads, d_k)), axes) for p, axes in
                   zip((proj[:, :d], proj[:, d : 2 * d], proj[:, 2 * d :]), (swap, to_keys, swap)))
-    probs = np.matmul(qh, kh)
-    probs *= c
-    probs += penalty
-    probs -= probs.max(axis=-1, keepdims=True)
+    scores = np.matmul(qh, kh)
+    scores *= c
+    scores += penalty
+    # The kernel's softmax: rows shifted by their key-0 score, or by their max
+    # once a shifted score reaches 64, and divided by their sums as a product
+    # with a ones column.
+    probs = scores - scores[..., :1]
+    key0_shifts.append(bool(probs.max() < 64.0))
+    if not key0_shifts[-1]:
+        probs = scores - scores.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= probs @ np.ones((L, 1))
     merged = np.transpose(np.matmul(probs, vh), swap).reshape(-1, d)
 
     def backward(g):
@@ -369,7 +407,7 @@ def _reference_self_attention(residual, x, weights, n_heads, penalty):
         g_heads = np.transpose((g_rows @ w_o.data.T).reshape(lead + (L, n_heads, d_k)), swap)
         g_probs = g_heads @ np.swapaxes(vh, -1, -2)
         g_vh = np.swapaxes(probs, -1, -2) @ g_heads
-        g_scores = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs
+        g_scores = (g_probs - (g_probs * probs) @ np.ones((L, 1))) * probs
         g_scores *= c
         g_qh = g_scores @ np.swapaxes(kh, -1, -2)
         g_kh = np.swapaxes(qh, -1, -2) @ g_scores
@@ -485,6 +523,7 @@ def test_conv_module_node_is_bitwise_the_composed_chain():
 def test_self_attention_node_is_bitwise_the_composed_chain():
     d = 8
     lengths = np.array([5, 3, 1])
+    key0_shifts = []  # per case, whether its rows were shifted by key 0
     for heads in (1, 2, 4):
         weights = tuple(RNG.standard_normal((d, d)) for _ in range(4))
         for shape, mask in (((5, d), causal_mask(5)),
@@ -501,8 +540,10 @@ def test_self_attention_node_is_bitwise_the_composed_chain():
             _assert_bitwise(
                 _outputs_and_grads(_folded(node), arrays, g),
                 _outputs_and_grads(_composed(
-                    lambda r, h, *w: _reference_self_attention(r, h, w, heads, penalty)),
+                    lambda r, h, *w: _reference_self_attention(r, h, w, heads, penalty,
+                                                               key0_shifts)),
                     arrays, g))
+    assert set(key0_shifts) == {True, False}  # both of the kernel's shifts are held to it
 
 
 def test_pre_ln_attention_attends_q_to_itself():
